@@ -6,10 +6,14 @@ Three layers of measurement, all on one compiled program:
   second of the three scheduler generations -- the queue-scanning
   reference (:mod:`repro.sim.reference_scheduler`), the retained
   object-based event-driven core (:mod:`repro.sim.event_core`), and the
-  flat struct-of-arrays core in :mod:`repro.sim.simulator`.  The
-  ordering reference < event-driven < flat is asserted, so the speed
-  claim is re-checked on whatever machine runs this, not compared
-  against a number measured on different hardware.
+  flat struct-of-arrays core in :mod:`repro.sim.simulator` -- plus the
+  general session loop the same program runs on as a solo
+  :class:`~repro.sim.SimSession` injection and as a
+  :func:`~repro.faults.engine.simulate_faulted` call under an inert
+  fault plan.  The ordering reference < event-driven < flat, and the
+  session and faulted rows within 1.2x of flat, are asserted, so the
+  speed claims are re-checked on whatever machine runs this, not
+  compared against numbers measured on different hardware.
 * **memoized repeated-candidate regime**: the same (program, machine,
   seed) triples requested over and over through a
   :class:`repro.sim.SimMemo` -- the shape of every serving experiment
@@ -35,16 +39,19 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.analysis import build_grid, run_sweep
 from repro.analysis.compare import paper_configurations
 from repro.compiler import ProgramCache, compile_model
+from repro.faults import CoreOffline, FaultPlan
+from repro.faults.engine import simulate_faulted
 from repro.hw import exynos2100_like
 from repro.models import ZOO, get_model
 from repro.serve import LatencyPredictor, serve
 from repro.sim import (
     SimMemo,
+    SimSession,
     collect_stats,
     simulate,
     simulate_event_driven,
@@ -57,14 +64,16 @@ RESULT_PATH = REPO_ROOT / "BENCH_sim.json"
 SEEDS = (0, 1, 2)
 SIM_MODEL = "InceptionV3"
 SIM_ROUNDS = 5
-#: each cold-throughput pass is repeated this many times and the
-#: fastest pass scores (timeit-style: on a shared machine, scheduler
-#: noise only ever adds time, so the minimum is the least-biased
-#: estimate of core speed).  All generations are measured identically,
-#: keeping the machine-relative ratios honest.
+#: each cold-throughput run is repeated this many times and the fastest
+#: repetition scores (timeit-style: on a shared machine, scheduler noise
+#: only ever adds time, so the minimum is the least-biased estimate of
+#: core speed).  All generations are measured identically, keeping the
+#: machine-relative ratios honest.
 TIMING_REPEATS = 3
 #: memoized-regime cycles: each cycle re-requests every seed once.
 MEMO_CYCLES = 6
+#: the session and faulted rows must stay within this factor of flat.
+LOOP_OVERHEAD_LIMIT = 1.2
 
 SERVE_MIX = ("MobileNetV2", "InceptionV3")
 SERVE_RPS = 3000.0
@@ -76,37 +85,80 @@ def _compiled_program(npu):
     return compiled.program
 
 
-def _best_pass(run_round) -> float:
-    """Fastest of ``TIMING_REPEATS`` timing passes over ``SIM_ROUNDS`` runs."""
-    best = float("inf")
+def _fastest_runs(runs: Dict[str, Callable[[int], object]]) -> Dict[str, float]:
+    """Per named row: each of the ``SIM_ROUNDS`` runs scored as its fastest
+    of ``TIMING_REPEATS`` repetitions, summed over the runs.
+
+    The rows take turns run by run, in an order rotated every turn, so
+    every row samples the same stretch of wall time and no row always
+    follows the same neighbour (whose garbage it would collect).  Scoring
+    each run rather than each pass keeps one slow moment of a shared
+    host from spoiling a row's whole pass, so row ratios stay honest.
+    """
+    names = list(runs)
+    best = {name: [float("inf")] * SIM_ROUNDS for name in names}
+    turn = 0
     for _ in range(TIMING_REPEATS):
-        t0 = time.perf_counter()
         for i in range(SIM_ROUNDS):
-            run_round(i)
-        best = min(best, time.perf_counter() - t0)
-    return best
+            turn += 1
+            for name in names[turn % len(names):] + names[: turn % len(names)]:
+                t0 = time.perf_counter()
+                runs[name](i)
+                best[name][i] = min(best[name][i], time.perf_counter() - t0)
+    return {name: sum(times) for name, times in best.items()}
+
+
+def _solo_session(program, npu, seed: int):
+    session = SimSession(npu, memo=None)
+    session.inject(program, at_us=0.0, seed=seed)
+    (outcome,) = session.run_until()
+    return outcome
 
 
 def measure_sim_throughput(npu) -> Dict[str, float]:
-    """Cold events/second of all three scheduler generations."""
+    """Cold events/second of all three scheduler generations, and of the
+    session loop (solo injection; inert fault plan)."""
     program = _compiled_program(npu)
     result = simulate(program, npu, seed=0, memo=None)  # warm the plan cache
+    # Armed fault machinery that never fires: the core dies long after
+    # the program has drained.
+    inert = FaultPlan(events=(CoreOffline(core=0, at_us=2 * result.latency_us),))
 
-    flat_elapsed = _best_pass(lambda i: simulate(program, npu, seed=i, memo=None))
-    event_elapsed = _best_pass(lambda i: simulate_event_driven(program, npu, seed=i))
-    ref_elapsed = _best_pass(lambda i: simulate_reference(program, npu, seed=i))
+    # Two interleaved groups: the retained cores are several times slower
+    # and churn far more objects, which would tax whichever production
+    # row runs next; the tight session-vs-flat ratio is measured apart.
+    elapsed = _fastest_runs(
+        {
+            "flat": lambda i: simulate(program, npu, seed=i, memo=None),
+            "session": lambda i: _solo_session(program, npu, i),
+            "faulted": lambda i: simulate_faulted(
+                program, npu, seed=i, plan=inert, memo=None
+            ),
+        }
+    )
+    elapsed.update(
+        _fastest_runs(
+            {
+                "event_driven": lambda i: simulate_event_driven(program, npu, seed=i),
+                "reference": lambda i: simulate_reference(program, npu, seed=i),
+            }
+        )
+    )
 
     events_per_run = len(result.trace.events)
     events = events_per_run * SIM_ROUNDS
+    flat_elapsed = elapsed["flat"]
     return {
         "sim_model": SIM_MODEL,
         "sim_rounds": SIM_ROUNDS,
         "events_per_run": events_per_run,
-        "events_per_sec_reference": events / ref_elapsed,
-        "events_per_sec_event_driven": events / event_elapsed,
+        "events_per_sec_reference": events / elapsed["reference"],
+        "events_per_sec_event_driven": events / elapsed["event_driven"],
         "events_per_sec_flat": events / flat_elapsed,
-        "flat_vs_event_driven_speedup": event_elapsed / flat_elapsed,
-        "sim_speedup": ref_elapsed / flat_elapsed,
+        "events_per_sec_session": events / elapsed["session"],
+        "events_per_sec_faulted": events / elapsed["faulted"],
+        "flat_vs_event_driven_speedup": elapsed["event_driven"] / flat_elapsed,
+        "sim_speedup": elapsed["reference"] / flat_elapsed,
     }
 
 
@@ -263,6 +315,8 @@ def _render(results: Dict[str, object]) -> str:
             f"  events/sec (reference)   : {results['events_per_sec_reference']:,.0f}",
             f"  events/sec (event-driven): {results['events_per_sec_event_driven']:,.0f}",
             f"  events/sec (flat core)   : {results['events_per_sec_flat']:,.0f}",
+            f"  events/sec (solo session): {results['events_per_sec_session']:,.0f}",
+            f"  events/sec (faulted)     : {results['events_per_sec_faulted']:,.0f}",
             f"  flat vs event-driven     : {results['flat_vs_event_driven_speedup']:.2f}x",
             f"  flat vs reference        : {results['sim_speedup']:.2f}x",
             f"  check_bounds overhead    : {results['check_bounds_overhead']:.3f}x",
@@ -301,8 +355,12 @@ def _persist(results: Dict[str, object]) -> None:
 
 
 def _check(results: Dict[str, object]) -> None:
-    """Machine-relative acceptance: speed orderings and live cache."""
+    """Machine-relative acceptance: speed orderings, session-loop
+    overhead, and live cache."""
     assert results["events_per_sec_flat"] >= results["events_per_sec_event_driven"]
+    floor = results["events_per_sec_flat"] / LOOP_OVERHEAD_LIMIT
+    assert results["events_per_sec_session"] >= floor
+    assert results["events_per_sec_faulted"] >= floor
     assert results["events_per_sec"] > results["events_per_sec_flat"]
     assert results["sim_speedup"] > 1.5
     assert results["check_bounds_overhead"] < 1.10

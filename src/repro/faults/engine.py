@@ -1,8 +1,9 @@
-"""The fault-aware event loop.
+"""One-shot fault-injected simulation.
 
-A structural sibling of the clean scheduler in
-:mod:`repro.sim.simulator`, extended with a fault event queue and three
-injection points:
+:func:`simulate_faulted` runs a single program under a
+:class:`~repro.faults.plan.FaultPlan` as a one-injection
+:class:`~repro.sim.session.SimSession`: the session's event loop owns
+the three injection points --
 
 * **DVFS / thermal** -- compute commands on throttled cores run at the
   frequency step implied by the core's heat accumulator (quasi-static:
@@ -15,57 +16,25 @@ injection points:
   dataflow edges or in-order queue position) is *abandoned*; surviving
   cores run their streams to completion.
 
-The clean scheduler is deliberately left untouched: ``simulate`` only
-routes here for a non-empty :class:`~repro.faults.plan.FaultPlan`, which
-is what makes the empty-plan no-op guarantee trivial to uphold.  The
-duplication of the event loop is the price of that guarantee (and of
-keeping fault checks off the clean hot path); the two loops share their
-precomputed :class:`~repro.sim.simulator._SimPlan`.
+Those hooks sit behind checks a clean session skips, so there is one
+event loop for faulted runs and serving alike, and ``simulate`` routes
+here only for a non-empty plan -- an empty plan runs the clean core,
+untouched.  This module adds what a one-shot call needs on top of the
+session: memoization under the fault signature, the run's placement on
+the serving clock, and its :class:`~repro.faults.plan.FaultStats`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.compiler.program import CommandKind, Program
+from repro.compiler.program import Program
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.hw.config import NPUConfig
 from repro.sim import memo as memo_mod
-from repro.sim.bus import FluidBus
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
-from repro.sim.simulator import SimResult, _finished_columns, _plan_for
-from repro.sim.trace import Trace
-
-_EPS = 1e-9
-
-#: heap event kinds; the first two match the clean scheduler.
-_END = 0
-_JOIN_BUS = 1
-_WAKE = 2
-_OFFLINE = 3
-
-
-def _merge_windows(
-    windows: List[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    merged: List[Tuple[float, float]] = []
-    for start, end in sorted(windows):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _stalled_until(windows: List[Tuple[float, float]], t: float) -> float:
-    """End of the window containing ``t`` (half-open), else 0."""
-    for start, end in windows:
-        if start <= t < end:
-            return end
-        if start > t:
-            break
-    return 0.0
+from repro.sim.session import SimSession
+from repro.sim.simulator import SimResult
 
 
 def simulate_faulted(
@@ -83,7 +52,8 @@ def simulate_faulted(
     times are absolute serving time and are shifted into the local frame
     (events wholly in the past take effect at t=0, e.g. a core that died
     during an earlier wave is dead from the start).  ``initial_heat``
-    carries per-core thermal state in from previous waves.
+    carries per-core thermal state in from previous waves; the returned
+    heat is cooled to the end of the run.
 
     Results are memoized under a fault-signature key -- the frozen plan
     plus the offset and carried heat -- which can never alias a clean
@@ -104,298 +74,32 @@ def simulate_faulted(
         cached = memo.get(key)
         if cached is not None:
             return cached
-    splan = _plan_for(program, npu)
-    commands = program.commands
-    total = splan.total
-
-    qcids = splan.qcids
-    nq = splan.nq
-    qid_of = splan.qid_of
-    deps_of = splan.deps_of
-    own_deps_of = splan.own_deps_of
-    consumers = splan.consumers
-    indeg = list(splan.indeg0)
-    evkind = splan.evkind
-    dma_cap = splan.dma_cap
-    num_bytes = splan.num_bytes
-
-    # Queue geometry the clean loop does not need: the owning core of
-    # each queue and each command's position within its queue (for
-    # dooming in-order successors of an abandoned command).
-    qcore = [commands[cids[0]].core for cids in qcids]
-    qpos = [0] * total
-    for cids in qcids:
-        for pos, cid in enumerate(cids):
-            qpos[cid] = pos
-
-    # Same seeded coordination jitter as the clean scheduler (shared
-    # cached table; read-only -- throttling adjusts a local copy of the
-    # duration, never the list).
-    delay = splan.delays_for(seed)
-
-    # ---- fault state -----------------------------------------------
-    def local_cycles(at_us: float) -> float:
-        return max(0.0, npu.us_to_cycles(at_us - time_offset_us))
-
-    core_windows: Dict[int, List[Tuple[float, float]]] = {}
-    bus_windows: List[Tuple[float, float]] = []
-    for stall in plan.stalls:
-        start = stall.start_us - time_offset_us
-        end = stall.end_us - time_offset_us
-        if end <= 0:
-            continue
-        window = (npu.us_to_cycles(max(0.0, start)), npu.us_to_cycles(end))
-        if stall.core is None:
-            bus_windows.append(window)
-        else:
-            core_windows.setdefault(stall.core, []).append(window)
-    bus_windows = _merge_windows(bus_windows)
-    core_windows = {c: _merge_windows(w) for c, w in core_windows.items()}
-
-    throttled_cores = set(plan.throttled_cores(npu.num_cores))
-    heat = [0.0] * npu.num_cores
-    if initial_heat is not None:
-        for c, h in enumerate(initial_heat):
-            if c < npu.num_cores:
-                heat[c] = float(h)
-    heat_t = [0.0] * npu.num_cores
-    busy_cycles = [0.0] * npu.num_cores
-    throttled_cycles = [0.0] * npu.num_cores
-    stall_cycles = 0.0
-
-    dead = [False] * npu.num_cores
-    doomed = [False] * total
-    finished = [False] * total
-    cancelled: set = set()
-    num_abandoned = 0
-
-    qhead = [0] * nq
-    qbusy = [False] * nq
-    qfree_at = [0.0] * nq
-
-    done_at = [0.0] * total
-    r_start = [0.0] * total
-    r_own = [0.0] * total
-    r_dep = [0.0] * total
-    running: set = set()
-    running_core: Dict[int, int] = {}
-    completed = 0
-
-    heap: List[Tuple[float, int, int, int]] = []  # (time, seq, evkind, cid/core)
-    seq = 0
-    bus = FluidBus(npu.bus_bytes_per_cycle)
-    bus_active = bus._active
-    clock = 0.0
-
-    check: List[int] = list(range(nq))
-
-    inf = float("inf")
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    bus_eta = bus.eta
-    bus_advance = bus.advance
-    bus_add = bus.add
-
-    def cool(core: int, now: float) -> None:
-        dt = now - heat_t[core]
-        if dt > 0:
-            h = heat[core] - npu.core(core).cool_per_cycle * dt
-            heat[core] = h if h > 0 else 0.0
-            heat_t[core] = now
-
-    def doom_core(core: int, now: float) -> None:
-        """Mark ``core`` dead and abandon everything that needs it."""
-        nonlocal num_abandoned
-        if dead[core]:
-            return
-        dead[core] = True
-        stack = [
-            cid for cid in range(total)
-            if commands[cid].core == core and not finished[cid] and not doomed[cid]
-        ]
-        while stack:
-            cid = stack.pop()
-            if doomed[cid] or finished[cid]:
-                continue
-            if cid in running and running_core.get(cid) != core:
-                # In flight on a live core: its dependencies already
-                # completed, so it finishes normally.
-                continue
-            doomed[cid] = True
-            num_abandoned += 1
-            if cid in running:
-                # Abort: drop the pending completion (or bus transfer).
-                running.discard(cid)
-                cancelled.add(cid)
-                if cid in bus_active:
-                    bus.cancel(cid)
-                qid = qid_of[cid]
-                qbusy[qid] = False
-            for consumer in consumers[cid]:
-                if not finished[consumer] and not doomed[consumer]:
-                    stack.append(consumer)
-            pos = qpos[cid]
-            cids = qcids[qid_of[cid]]
-            if pos + 1 < len(cids):
-                successor = cids[pos + 1]
-                if not finished[successor] and not doomed[successor]:
-                    stack.append(successor)
-
-    # Pre-seed the fault event queue.
-    for event in plan.offline_events:
-        t = local_cycles(event.at_us)
-        if event.core >= npu.num_cores:
-            raise ValueError(
-                f"offline core {event.core} out of range "
-                f"(machine has {npu.num_cores})"
-            )
-        if t <= 0:
-            doom_core(event.core, 0.0)
-        else:
-            heappush(heap, (t, seq, _OFFLINE, event.core))
-            seq += 1
-
-    def complete(cid: int, now: float) -> None:
-        nonlocal completed
-        running.discard(cid)
-        running_core.pop(cid, None)
-        finished[cid] = True
-        done_at[cid] = now
-        completed += 1
-        qid = qid_of[cid]
-        qbusy[qid] = False
-        qfree_at[qid] = now
-        check.append(qid)
-        for consumer in consumers[cid]:
-            left = indeg[consumer] - 1
-            indeg[consumer] = left
-            if not left:
-                check.append(qid_of[consumer])
-
-    while completed < total - num_abandoned:
-        while check:
-            qid = check.pop()
-            if qbusy[qid]:
-                continue
-            core = qcore[qid]
-            if dead[core]:
-                continue
-            idx = qhead[qid]
-            cids = qcids[qid]
-            # Doomed commands never start; in-order queues mean the
-            # whole tail behind one is doomed too, so skip forward.
-            while idx < len(cids) and doomed[cids[idx]]:
-                idx += 1
-            qhead[qid] = idx
-            if idx >= len(cids):
-                continue
-            cid = cids[idx]
-            if indeg[cid]:
-                continue
-            windows = core_windows.get(core)
-            if windows:
-                until = _stalled_until(windows, clock)
-                if until > clock:
-                    stall_cycles += until - clock
-                    heappush(heap, (until, seq, _WAKE, qid))
-                    seq += 1
-                    continue
-            dep_ready = 0.0
-            for d in deps_of[cid]:
-                t = done_at[d]
-                if t > dep_ready:
-                    dep_ready = t
-            own_ready = qfree_at[qid]
-            for d in own_deps_of[cid]:
-                t = done_at[d]
-                if t > own_ready:
-                    own_ready = t
-            dur = delay[cid]
-            if commands[cid].kind is CommandKind.COMPUTE:
-                if core in throttled_cores:
-                    cool(core, clock)
-                    cc = npu.core(core)
-                    level = cc.dvfs_level_for_heat(heat[core])
-                    speed = cc.dvfs_steps[level]
-                    dur = dur / speed
-                    heat[core] += dur * cc.heat_per_busy_cycle
-                    if level > 0:
-                        throttled_cycles[core] += dur
-                busy_cycles[core] += dur
-            r_start[cid] = clock
-            r_own[cid] = own_ready
-            r_dep[cid] = dep_ready
-            running.add(cid)
-            running_core[cid] = core
-            qbusy[qid] = True
-            qhead[qid] = idx + 1
-            heappush(heap, (clock + dur, seq, evkind[cid], cid))
-            seq += 1
-
-        t_heap = heap[0][0] if heap else inf
-        t_bus = clock + bus_eta() if bus_active else inf
-        t_next = t_heap if t_heap <= t_bus else t_bus
-        if t_next == inf:
-            stuck = [str(commands[c]) for c in running]
-            raise RuntimeError(
-                f"simulation deadlock under faults at t={clock}: "
-                f"running={stuck[:8]}"
-            )
-        dt = t_next - clock
-        finished_dma = bus_advance(dt) if bus_active else ()
-        if not finished_dma and t_next == t_bus and t_next <= clock:
-            finished_dma = bus.force_min_completion()
-        clock = t_next
-        for cid in finished_dma:
-            complete(cid, clock)
-        threshold = clock + _EPS
-        while heap and heap[0][0] <= threshold:
-            _, _, kind, payload = heappop(heap)
-            if kind == _OFFLINE:
-                doom_core(payload, clock)
-                # Abandoning work may unblock nothing, but a queue whose
-                # head was doomed must be rescanned.
-                check.extend(range(nq))
-            elif kind == _WAKE:
-                check.append(payload)
-            elif payload in cancelled:
-                cancelled.discard(payload)
-            elif kind == _END:
-                complete(payload, clock)
-            else:  # _JOIN_BUS
-                until = _stalled_until(bus_windows, clock)
-                if until > clock:
-                    stall_cycles += until - clock
-                    heappush(heap, (until, seq, _JOIN_BUS, payload))
-                    seq += 1
-                else:
-                    bus_add(payload, num_bytes[payload], dma_cap[payload])
-
-    for core in throttled_cores:
-        cool(core, clock)
-
-    trace = Trace(
-        columns=_finished_columns(
-            splan,
-            [cid for cid in range(total) if finished[cid]],
-            r_start,
-            done_at,
-            r_own,
-            r_dep,
-        )
+    session = SimSession(
+        npu,
+        faults=plan,
+        memo=None,
+        origin_us=time_offset_us,
+        initial_heat=initial_heat,
     )
+    session.inject(program, at_us=time_offset_us, seed=seed)
+    # A program with nothing left to run (empty, or wholly on cores dead
+    # from the start) completed at injection: running on would process
+    # fault events this run never reached.
+    (out,) = session.run_until(session.now_us if session.idle else None)
+    session.cool(out.completed_at_cycles)
     stats = FaultStats(
         plan=plan.describe(),
-        dead_cores=tuple(c for c in range(npu.num_cores) if dead[c]),
-        abandoned_cids=tuple(cid for cid in range(total) if doomed[cid]),
-        throttled_busy_cycles=tuple(throttled_cycles),
-        busy_cycles=tuple(busy_cycles),
-        stall_cycles=stall_cycles,
-        heat=tuple(heat),
+        dead_cores=tuple(c for c in range(npu.num_cores) if session.dead[c]),
+        abandoned_cids=out.abandoned_cids,
+        throttled_busy_cycles=tuple(session.throttled_cycles),
+        busy_cycles=tuple(session.busy_cycles),
+        stall_cycles=session.stall_cycles,
+        heat=tuple(session.heat),
     )
-    result = SimResult(
-        trace=trace, makespan_cycles=trace.makespan, npu=npu, faults=stats
-    )
+    # Abandoned commands leave no events: the makespan is the last
+    # completion, which precedes an abandonment that ended the run.
+    makespan = out.trace.makespan if out.failed else out.completed_at_cycles
+    result = SimResult(trace=out.trace, makespan_cycles=makespan, npu=npu, faults=stats)
     if memo is not None and key is not None:
         memo.put(key, result)
     return result

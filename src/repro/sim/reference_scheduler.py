@@ -23,13 +23,8 @@ from repro.compiler.program import Command, CommandKind, Engine, Program
 from repro.cost.compute import compute_cycles
 from repro.hw.config import NPUConfig
 from repro.sim.bus import FluidBus
+from repro.sim.simulator import _EPS, _END, _JOIN_BUS
 from repro.sim.trace import Trace, TraceEvent
-
-_EPS = 1e-9
-
-#: event kinds in the time heap
-_END = 0
-_JOIN_BUS = 1
 
 
 class _Running:

@@ -10,18 +10,15 @@ exactly as on the real memory system.
 
 The scheduler here is *event-driven* over flat struct-of-arrays state:
 a precomputed reverse-dependency index (consumers per command), flat
-outstanding-dependency counters, and the bus kept as parallel arrays of
-(cid, residual bytes, link cap, rate).  The bus kernels are *batched
-per decision epoch*: one pass advances every in-flight transfer by the
-epoch's ``dt`` and, in the same pass, computes the next bus eta -- the
-clock does not move between those two reads, so fusing them is float-
-for-float identical to the query-then-advance split it replaces.  The
-water-filling refill is likewise fused with its following eta query and
-fully unrolled for the 1-3 concurrent transfers that dominate real
-programs; wider in-flight sets (``_VECTOR_MIN`` and up) switch to the
-numpy twins in :mod:`repro.sim.bus`, which vectorize the sort, the
-advance and the eta reduction while keeping the sequentially-rounded
-budget walk scalar (see ``bus.refill_rates_wide`` for why).
+outstanding-dependency counters, and the bus kept as parallel lists of
+(cid, residual bytes, link cap, rate).  The bus is driven *per decision
+epoch* by the kernels in :mod:`repro.sim.bus` (``refill_eta``,
+``advance_eta``, ``force_min``): each fuses a membership step with the
+next-finish eta query that always follows it -- the clock does not move
+in between, so the fused float sequence is the split one's.  The same
+kernels drive :class:`repro.sim.session.SimSession`, the general loop
+(overlapping injections, fault hooks) of which ``_run_flat`` below is
+the clean one-program specialization.
 
 Trace assembly is *columnar and lazy*.  The loop records completion
 times only; the trace-only readiness fields (``start``, ``own_ready``,
@@ -47,7 +44,8 @@ the queue-scanning original (:mod:`repro.sim.reference_scheduler`), the
 object-based event-driven core (:mod:`repro.sim.event_core`), and the
 flat core below.  All three produce bit-identical traces for equal
 seeds (``tests/sim/test_scheduler_equivalence.py`` and
-``tests/sim/test_flat_core.py``).
+``tests/sim/test_flat_core.py``), and a solo session replays the flat
+core bit-for-bit (``tests/sim/test_session.py``).
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,25 +63,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan, FaultStats
 from repro.cost.compute import compute_cycles
 from repro.hw.config import NPUConfig
-from repro.sim import bus as bus_mod
 from repro.sim import memo as memo_mod
+from repro.sim.bus import advance_eta, force_min, refill_eta
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
 from repro.sim.trace import Trace, TraceColumns
 
+#: heap events within this many cycles of the clock retire together.
 _EPS = 1e-9
 
-#: byte residue below which a bus transfer counts as finished (must
-#: match :data:`repro.sim.bus._EPS`; the flat core inlines the bus).
-_BUS_EPS = 1e-6
-
-#: in-flight transfer count at which the inlined bus switches from the
-#: unrolled scalar kernels to the numpy twins in :mod:`repro.sim.bus`.
-#: Real CNN programs keep 1-6 transfers in flight, where per-call numpy
-#: overhead loses to straight-line Python; wide buses (many-tenant
-#: sessions) cross over.  Read once per run, so tests can monkeypatch.
-_VECTOR_MIN = 16
-
-#: event kinds in the time heap
+#: command event kinds: a command ends when its delay elapses, or
+#: (DMA with a payload) joins the bus then and ends when it drains.
 _END = 0
 _JOIN_BUS = 1
 
@@ -156,6 +145,7 @@ class _SimPlan:
         "protos",
         "static_cols",
         "_delay_cache",
+        "_next_q",
     )
 
     def __init__(self, program: Program, npu: NPUConfig) -> None:
@@ -285,6 +275,22 @@ class _SimPlan:
         self.own_starts = np.array(own_starts, dtype=np.intp)
         self.own_cids = np.array(own_cids, dtype=np.intp)
         self.prev_np = np.array(prev_q, dtype=np.intp)
+        self._next_q: Optional[List[int]] = None
+
+    def queue_successors(self) -> List[int]:
+        """In-queue successor of each command (-1 for queue tails).
+
+        Only fault handling needs it (abandoning a command dooms the
+        rest of its in-order queue), so it is built on first use.
+        """
+        nxt = self._next_q
+        if nxt is None:
+            nxt = [-1] * self.total
+            for cid, prev in enumerate(self.prev_q):
+                if prev >= 0:
+                    nxt[prev] = cid
+            self._next_q = nxt
+        return nxt
 
     def delays_for(self, seed: int) -> List[float]:
         """Per-command durations with this seed's jitter applied.
@@ -349,11 +355,12 @@ def simulate(
     cross-core coordination commands (barriers, halo rendezvous); runs
     with equal seeds are bit-identical.
 
-    A non-empty ``faults`` plan routes to the fault-aware engine in
-    :mod:`repro.faults.engine` (throttling, stalls, core-offline); an
-    empty or absent plan runs the clean scheduler below, untouched, so
-    the no-fault path is bit-identical -- and shares memo entries --
-    whether or not a plan object was passed.
+    A non-empty ``faults`` plan routes to
+    :func:`repro.faults.engine.simulate_faulted` (throttling, stalls,
+    core-offline; a one-injection session); an empty or absent plan runs
+    the clean scheduler below, untouched, so the no-fault path is
+    bit-identical -- and shares memo entries -- whether or not a plan
+    object was passed.
 
     ``memo`` defaults to the process-wide :func:`repro.sim.memo.default_memo`;
     pass ``None`` to force a fresh run (benchmarks measuring raw core
@@ -398,38 +405,42 @@ def simulate(
     return result
 
 
-def _derive_columns(plan: _SimPlan, done_at: List[float]) -> TraceColumns:
-    """Batched post-run derivation of the columnar trace payload.
+def _readiness(
+    plan: _SimPlan, done: np.ndarray, own_base: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-command (own_ready, dep_ready) from final completion times.
 
-    A command starts the moment its last enabler completes: the
-    in-queue predecessor (which also freed the engine) or its slowest
-    dependency.  These are *selections* among final completion times,
-    never arithmetic, so the segmented ``maximum.reduceat`` reductions
-    below produce the exact floats of the per-command scan they
-    replace; the stable argsort on starts equals sorting (start, cid)
-    pairs because ties fall back to index order.
+    ``dep_ready`` is the latest dependency completion (0 without deps);
+    ``own_ready`` folds the same-core dependencies into ``own_base``, the
+    time the command's engine freed up.  Both are *selections* among
+    completion times, never arithmetic, so the segmented
+    ``maximum.reduceat`` reductions produce the exact floats of a
+    per-command scan.  ``own_base`` is consumed (reused as the result).
     """
-    done = np.array(done_at)
-    prev = plan.prev_np
-    # prev is -1 for queue heads; the fancy-index result at those slots
-    # is masked off by the where(), so the wrap-around read is harmless.
-    base = np.where(prev >= 0, done[prev], 0.0)
     r_dep = np.zeros(plan.total)
     if len(plan.dep_flat):
         r_dep[plan.dep_cids] = np.maximum.reduceat(done[plan.dep_flat], plan.dep_starts)
-    r_own = base.copy()
     if len(plan.own_flat):
         red = np.maximum.reduceat(done[plan.own_flat], plan.own_starts)
         cids = plan.own_cids
-        np.maximum(r_own[cids], red, out=red)
-        r_own[cids] = red
-    starts = np.maximum(base, r_dep)
-    order = np.argsort(starts, kind="stable")
+        np.maximum(own_base[cids], red, out=red)
+        own_base[cids] = red
+    return own_base, r_dep
+
+
+def _gather(
+    plan: _SimPlan,
+    order: np.ndarray,
+    start: np.ndarray,
+    done: np.ndarray,
+    r_own: np.ndarray,
+    r_dep: np.ndarray,
+) -> TraceColumns:
     # .tolist() yields plain Python floats: downstream consumers (stats
     # sums, json dumps) must never see numpy scalars.
     return TraceColumns(
         cids=order.tolist(),
-        start=starts[order].tolist(),
+        start=start[order].tolist(),
         end=done[order].tolist(),
         own_ready=r_own[order].tolist(),
         dep_ready=r_dep[order].tolist(),
@@ -438,32 +449,52 @@ def _derive_columns(plan: _SimPlan, done_at: List[float]) -> TraceColumns:
     )
 
 
+def _derive_columns(plan: _SimPlan, done_at: List[float]) -> TraceColumns:
+    """Batched post-run derivation of the one-shot trace payload.
+
+    A command starts the moment its last enabler completes: the
+    in-queue predecessor (which also freed the engine) or its slowest
+    dependency -- again a selection, so the derived starts are exact;
+    the stable argsort on starts equals sorting (start, cid) pairs
+    because ties fall back to index order.
+    """
+    done = np.array(done_at)
+    prev = plan.prev_np
+    # prev is -1 for queue heads; the fancy-index result at those slots
+    # is masked off by the where(), so the wrap-around read is harmless.
+    base = np.where(prev >= 0, done[prev], 0.0)
+    r_own, r_dep = _readiness(plan, done, base.copy())
+    starts = np.maximum(base, r_dep)
+    order = np.argsort(starts, kind="stable")
+    return _gather(plan, order, starts, done, r_own, r_dep)
+
+
 def _finished_columns(
     plan: _SimPlan,
-    finished_cids: List[int],
-    r_start: List[float],
+    finished: Optional[Sequence[int]],
+    start: List[float],
     done_at: List[float],
-    r_own: List[float],
-    r_dep: List[float],
+    free_at: List[float],
 ) -> TraceColumns:
-    """Columnar trace payload for a finished subset of a plan's commands.
+    """Columnar trace payload of a session injection's finished commands.
 
-    Sessions and the fault engine track readiness live (their starts
-    depend on cross-injection and fault state), so they gather columns
-    eagerly rather than deriving them.  ``finished_cids`` must be
-    ascending: the stable sort on start then equals ordering by
-    (start, cid), the event order every core emits.
+    Sessions record each command's start and the time its engine last
+    freed up (``free_at``) as it starts -- both depend on other
+    injections and on faults -- and leave the dependency readiness to
+    :func:`_readiness`.  ``finished`` lists the completed commands in
+    ascending order (``None``: all of them); the stable sort on start
+    then equals ordering by (start, cid), the event order every core
+    emits.
     """
-    order = sorted(finished_cids, key=r_start.__getitem__)
-    return TraceColumns(
-        cids=order,
-        start=[r_start[c] for c in order],
-        end=[done_at[c] for c in order],
-        own_ready=[r_own[c] for c in order],
-        dep_ready=[r_dep[c] for c in order],
-        protos=plan.protos,
-        static=plan.static_cols,
-    )
+    start_a = np.array(start)
+    done = np.array(done_at)
+    r_own, r_dep = _readiness(plan, done, np.array(free_at))
+    if finished is None:
+        order = np.argsort(start_a, kind="stable")
+    else:
+        fin = np.array(finished, dtype=np.intp)
+        order = fin[np.argsort(start_a[fin], kind="stable")]
+    return _gather(plan, order, start_a, done, r_own, r_dep)
 
 
 def _simulate_clean(program: Program, npu: NPUConfig, seed: int) -> SimResult:
@@ -482,13 +513,11 @@ def _run_flat(
 ) -> List[float]:
     """Run the event loop; returns per-command completion times.
 
-    The bus is inlined as parallel arrays with the water-filling refill
-    deferred to the next eta query (``b_dirty``) and both the refill
-    and the per-epoch advance *fused* with the eta they would otherwise
-    be followed by -- the clock does not move in between, so the fused
-    float sequence is identical.  The kernels are unrolled for 1-3
-    in-flight transfers; at ``_VECTOR_MIN`` or more they hand off to
-    the numpy twins in :mod:`repro.sim.bus`.
+    The clean one-shot specialization of the session loop in
+    :mod:`repro.sim.session`: one program, no fault hooks, no readiness
+    recording (the trace derives it post-run).  Both loops drive the
+    same bus epoch kernels (:func:`repro.sim.bus.refill_eta`,
+    :func:`~repro.sim.bus.advance_eta`, :func:`~repro.sim.bus.force_min`).
     """
     total = plan.total
     qcids = plan.qcids
@@ -502,7 +531,6 @@ def _run_flat(
     num_bytes_f = plan.num_bytes_f
     delay = plan.delays_for(seed)  # shared, read-only
     uniform_cap = plan.uniform_dma_cap
-    vec_min = _VECTOR_MIN
 
     qhead = [0] * nq
     qbusy = [False] * nq
@@ -515,14 +543,15 @@ def _run_flat(
     heap: List[Tuple[float, int, int]] = []  # (time, seq, cid)
     seq = 0
     bw = npu.bus_bytes_per_cycle
-    half_bw = bw / 2  # same float as budget / (2 - 0) in the generic walk
-    third_bw = bw / 3
+    # The bus as parallel lists, driven by the epoch kernels in
+    # repro.sim.bus; the refill is deferred from membership changes to
+    # the next eta query (b_dirty).
     b_cid: List[int] = []
     b_rem: List[float] = []
     b_cap: List[float] = []
     b_rate: List[float] = []
-    nb = 0
     b_dirty = False
+    drained: List[int] = []  # transfers an epoch kernel retired
     t_bus = inf = float("inf")
     clock = 0.0
 
@@ -553,119 +582,7 @@ def _run_flat(
 
         t_heap = heap[0][0] if heap else inf
         if b_dirty:
-            # Water-filling refill, deferred from membership changes and
-            # fused with the eta query that always follows it (min is
-            # order-independent and every slot is written exactly once,
-            # so the floats match the split refill-then-scan).  Same
-            # float sequence as FluidBus._recompute_rates: the sort is
-            # stable and parallel-array insertion order equals the dict
-            # insertion order it replaces.
-            if nb == 1:
-                cap = b_cap[0]
-                rate = cap if cap <= bw else bw
-                b_rate[0] = rate
-                t_bus = clock + b_rem[0] / rate
-            elif nb == 2:
-                c0 = b_cap[0]
-                c1 = b_cap[1]
-                if c0 <= c1:
-                    rlo = c0 if c0 <= half_bw else half_bw
-                    budget = bw - rlo
-                    rhi = c1 if c1 <= budget else budget
-                    b_rate[0] = rlo
-                    b_rate[1] = rhi
-                    best = inf
-                    if rlo > 0.0:
-                        best = b_rem[0] / rlo
-                    if rhi > 0.0:
-                        t = b_rem[1] / rhi
-                        if t < best:
-                            best = t
-                else:
-                    rlo = c1 if c1 <= half_bw else half_bw
-                    budget = bw - rlo
-                    rhi = c0 if c0 <= budget else budget
-                    b_rate[1] = rlo
-                    b_rate[0] = rhi
-                    best = inf
-                    if rlo > 0.0:
-                        best = b_rem[1] / rlo
-                    if rhi > 0.0:
-                        t = b_rem[0] / rhi
-                        if t < best:
-                            best = t
-                t_bus = clock + best
-            elif nb == 3:
-                # Stable 3-sort by (cap, index), unrolled: ja/jb/jc are
-                # the slot indices in ascending cap order, ties keeping
-                # insertion order (every branch uses <=).
-                c0 = b_cap[0]
-                c1 = b_cap[1]
-                c2 = b_cap[2]
-                if c0 <= c1:
-                    if c1 <= c2:
-                        ja, jb, jc = 0, 1, 2
-                        ca, cb, cc = c0, c1, c2
-                    elif c0 <= c2:
-                        ja, jb, jc = 0, 2, 1
-                        ca, cb, cc = c0, c2, c1
-                    else:
-                        ja, jb, jc = 2, 0, 1
-                        ca, cb, cc = c2, c0, c1
-                elif c0 <= c2:
-                    ja, jb, jc = 1, 0, 2
-                    ca, cb, cc = c1, c0, c2
-                elif c1 <= c2:
-                    ja, jb, jc = 1, 2, 0
-                    ca, cb, cc = c1, c2, c0
-                else:
-                    ja, jb, jc = 2, 1, 0
-                    ca, cb, cc = c2, c1, c0
-                ra = ca if ca <= third_bw else third_bw
-                budget = bw - ra
-                fair = budget / 2
-                rb = cb if cb <= fair else fair
-                budget -= rb
-                rc = cc if cc <= budget else budget
-                b_rate[ja] = ra
-                b_rate[jb] = rb
-                b_rate[jc] = rc
-                best = inf
-                if ra > 0.0:
-                    best = b_rem[ja] / ra
-                if rb > 0.0:
-                    t = b_rem[jb] / rb
-                    if t < best:
-                        best = t
-                if rc > 0.0:
-                    t = b_rem[jc] / rc
-                    if t < best:
-                        best = t
-                t_bus = clock + best
-            elif nb >= vec_min:
-                b_rate[:] = bus_mod.refill_rates_wide(b_cap, bw)
-                t_bus = clock + bus_mod.eta_wide(b_rem, b_rate)
-            else:
-                # All-equal caps make the stable sort the identity.
-                if uniform_cap:
-                    order = range(nb)
-                else:
-                    order = sorted(range(nb), key=b_cap.__getitem__)
-                budget = bw
-                i = nb
-                best = inf
-                for j in order:
-                    fair = budget / i
-                    cap = b_cap[j]
-                    rate = cap if cap <= fair else fair
-                    b_rate[j] = rate
-                    budget -= rate
-                    i -= 1
-                    if rate > 0.0:
-                        t = b_rem[j] / rate
-                        if t < best:
-                            best = t
-                t_bus = clock + best
+            t_bus = clock + refill_eta(b_cap, b_rem, b_rate, bw, uniform_cap)
             b_dirty = False
 
         t_next = t_heap if t_heap <= t_bus else t_bus
@@ -679,178 +596,24 @@ def _run_flat(
             raise RuntimeError(
                 f"simulation deadlock at t={clock}: blocked heads={waiting[:8]}"
             )
-        dt = t_next - clock
-        finished_dma = None
-        if nb:
-            if dt > 0.0:
-                # Fused advance + finish-check + next-eta: decrement all
-                # residuals by this epoch's dt and compute the survivors'
-                # eta in the same pass (the next refill only happens on
-                # membership change, so the eta written here is final).
-                if nb == 1:
-                    r = b_rem[0] - b_rate[0] * dt
-                    if r <= _BUS_EPS:
-                        finished_dma = (b_cid[0],)
-                        del b_cid[0], b_rem[0], b_cap[0], b_rate[0]
-                        nb = 0
-                        t_bus = inf
-                    else:
-                        b_rem[0] = r
-                        t_bus = t_next + r / b_rate[0]
-                elif nb == 2:
-                    rate0 = b_rate[0]
-                    rate1 = b_rate[1]
-                    r0 = b_rem[0] - rate0 * dt
-                    r1 = b_rem[1] - rate1 * dt
-                    b_rem[0] = r0
-                    b_rem[1] = r1
-                    if r0 <= _BUS_EPS:
-                        if r1 <= _BUS_EPS:
-                            finished_dma = (b_cid[0], b_cid[1])
-                            del b_cid[:], b_rem[:], b_cap[:], b_rate[:]
-                            nb = 0
-                            t_bus = inf
-                        else:
-                            finished_dma = (b_cid[0],)
-                            del b_cid[0], b_rem[0], b_cap[0], b_rate[0]
-                            nb = 1
-                            b_dirty = True
-                    elif r1 <= _BUS_EPS:
-                        finished_dma = (b_cid[1],)
-                        del b_cid[1], b_rem[1], b_cap[1], b_rate[1]
-                        nb = 1
-                        b_dirty = True
-                    else:
-                        best = inf
-                        if rate0 > 0.0:
-                            best = r0 / rate0
-                        if rate1 > 0.0:
-                            t = r1 / rate1
-                            if t < best:
-                                best = t
-                        t_bus = t_next + best
-                elif nb == 3:
-                    rate0 = b_rate[0]
-                    rate1 = b_rate[1]
-                    rate2 = b_rate[2]
-                    r0 = b_rem[0] - rate0 * dt
-                    r1 = b_rem[1] - rate1 * dt
-                    r2 = b_rem[2] - rate2 * dt
-                    b_rem[0] = r0
-                    b_rem[1] = r1
-                    b_rem[2] = r2
-                    if r0 <= _BUS_EPS or r1 <= _BUS_EPS or r2 <= _BUS_EPS:
-                        fin = []
-                        if r0 <= _BUS_EPS:
-                            fin.append(0)
-                        if r1 <= _BUS_EPS:
-                            fin.append(1)
-                        if r2 <= _BUS_EPS:
-                            fin.append(2)
-                        finished_dma = [b_cid[i] for i in fin]
-                        for i in reversed(fin):
-                            del b_cid[i], b_rem[i], b_cap[i], b_rate[i]
-                        nb -= len(fin)
-                        if nb:
-                            b_dirty = True
-                        else:
-                            t_bus = inf
-                    else:
-                        best = inf
-                        if rate0 > 0.0:
-                            best = r0 / rate0
-                        if rate1 > 0.0:
-                            t = r1 / rate1
-                            if t < best:
-                                best = t
-                        if rate2 > 0.0:
-                            t = r2 / rate2
-                            if t < best:
-                                best = t
-                        t_bus = t_next + best
-                elif nb >= vec_min:
-                    new_rem, fin = bus_mod.advance_wide(b_rem, b_rate, dt)
-                    b_rem[:] = new_rem
-                    if fin:
-                        finished_dma = [b_cid[i] for i in fin]
-                        for i in reversed(fin):
-                            del b_cid[i], b_rem[i], b_cap[i], b_rate[i]
-                        nb -= len(fin)
-                        if nb:
-                            b_dirty = True
-                        else:
-                            t_bus = inf
-                    else:
-                        t_bus = t_next + bus_mod.eta_wide(b_rem, b_rate)
+        if b_cid:
+            if t_next > clock:
+                eta = advance_eta(b_cid, b_rem, b_cap, b_rate, t_next - clock, drained)
+                if not drained:
+                    t_bus = t_next + eta
+                elif b_cid:
+                    b_dirty = True
                 else:
-                    fin = None
-                    best = inf
-                    for i in range(nb):
-                        rate = b_rate[i]
-                        r = b_rem[i] - rate * dt
-                        b_rem[i] = r
-                        if r <= _BUS_EPS:
-                            if fin is None:
-                                fin = [i]
-                            else:
-                                fin.append(i)
-                        elif rate > 0.0:
-                            t = r / rate
-                            if t < best:
-                                best = t
-                    if fin is not None:
-                        finished_dma = [b_cid[i] for i in fin]
-                        for i in reversed(fin):
-                            del b_cid[i], b_rem[i], b_cap[i], b_rate[i]
-                        nb -= len(fin)
-                        if nb:
-                            b_dirty = True
-                        else:
-                            t_bus = inf
-                    else:
-                        t_bus = t_next + best
-            elif t_next == t_bus and t_next <= clock:
-                # dt == 0 can finish nothing through the decrement pass
-                # (every residual exceeded the epsilon when it was last
-                # written), so when the bus eta underflowed the clock's
-                # float resolution, retire the nearest transfer(s)
-                # directly rather than spinning at dt == 0
-                # (FluidBus.force_min_completion, inlined).
-                nearest = inf
-                for i in range(nb):
-                    rate = b_rate[i]
-                    if rate > 0.0:
-                        rem = b_rem[i]
-                        if rem < 0.0:
-                            rem = 0.0
-                        t = rem / rate
-                        if t < nearest:
-                            nearest = t
-                if nearest == inf:
-                    raise RuntimeError(
-                        "bus livelock: no active transfer is making progress "
-                        f"(bandwidth={bw})"
-                    )
-                fin = []
-                for i in range(nb):
-                    rate = b_rate[i]
-                    if rate > 0.0:
-                        rem = b_rem[i]
-                        if rem < 0.0:
-                            rem = 0.0
-                        if rem / rate <= nearest + _BUS_EPS:
-                            fin.append(i)
-                finished_dma = [b_cid[i] for i in fin]
-                for i in reversed(fin):
-                    del b_cid[i], b_rem[i], b_cap[i], b_rate[i]
-                nb -= len(fin)
-                if nb:
+                    t_bus = inf
+            elif t_next == t_bus:
+                force_min(b_cid, b_rem, b_cap, b_rate, bw, drained)
+                if b_cid:
                     b_dirty = True
                 else:
                     t_bus = inf
         clock = t_next
-        if finished_dma:
-            for cid in finished_dma:
+        if drained:
+            for cid in drained:
                 done_at[cid] = clock
                 remaining -= 1
                 qid = qid_of[cid]
@@ -861,6 +624,7 @@ def _run_flat(
                     indeg[consumer] = left
                     if not left:
                         check_append(qid_of[consumer])
+            drained.clear()
         if heap:
             # Batch-retire every heap event inside this epoch's epsilon
             # window in one pass (one peek per pop instead of a fresh
@@ -874,7 +638,6 @@ def _run_flat(
                     b_rem.append(num_bytes_f[cid])
                     b_cap.append(dma_cap[cid])
                     b_rate.append(0.0)
-                    nb += 1
                     b_dirty = True
                 else:
                     done_at[cid] = clock

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
+from repro.compiler.program import Program
 from repro.faults import CoreOffline, FaultPlan
+from repro.faults.engine import simulate_faulted
 from repro.hw import tiny_test_machine
 from repro.sim import SimSession, merge_programs, simulate, sub_machine
 from repro.sim.session import InjectionOutcome
@@ -173,3 +175,46 @@ class TestFaultedSession:
         session.inject(full_program, at_us=1234.5, seed=0)
         (out,) = session.run_until()
         assert events_of(out.trace) == events_of(ref.trace)
+
+
+class TestEmptyInjection:
+    """A program with no commands completes the moment it is injected,
+    in both session kinds, as the one-shot paths report makespan 0."""
+
+    EMPTY = Program(num_cores=1, commands=[])
+
+    def test_one_shot_paths_report_zero(self, npu):
+        plan = FaultPlan(events=(CoreOffline(core=0, at_us=5),))
+        assert simulate(self.EMPTY, npu, memo=None).makespan_cycles == 0
+        faulted = simulate_faulted(self.EMPTY, npu, plan=plan, memo=None)
+        assert faulted.makespan_cycles == 0
+        assert faulted.faults.dead_cores == ()
+
+    def test_clean_session_completes_at_injection(self, npu):
+        session = SimSession(npu, memo=None)
+        session.inject(self.EMPTY, at_us=3.0, label="e")
+        assert session.idle
+        (out,) = session.run_until()
+        assert out.label == "e" and out.origin_us == 3.0
+        assert out.completed_at_cycles == out.injected_at_cycles == 0.0
+        assert not out.failed and out.trace.events == []
+
+    def test_faulted_session_completes_at_injection(self, npu):
+        """Not when the next fault event fires (core 0 dies at 5000 cycles)."""
+        plan = FaultPlan(events=(CoreOffline(core=0, at_us=5),))
+        session = SimSession(npu, faults=plan)
+        session.inject(self.EMPTY, at_us=1.0, label="e")
+        assert session.idle
+        (out,) = session.run_until()
+        assert out.completed_at_cycles == out.injected_at_cycles == npu.us_to_cycles(1.0)
+        assert not out.failed and out.num_abandoned == 0
+
+    def test_empty_injection_alongside_running_work(self, npu, full_program):
+        session = SimSession(npu, memo=None)
+        session.inject(full_program, at_us=0.0, label="w")
+        session.inject(self.EMPTY, at_us=0.001, label="e")
+        first = session.run_until()
+        assert [o.label for o in first] == ["e"]
+        assert first[0].completed_at_cycles == npu.us_to_cycles(0.001)
+        (rest,) = session.run_until()
+        assert rest.label == "w"

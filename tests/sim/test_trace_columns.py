@@ -30,7 +30,6 @@ from repro.faults.engine import simulate_faulted
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import bus as bus_mod
 from repro.sim import simulate, simulate_event_driven
-from repro.sim import simulator as sim_mod
 from repro.sim.bus import FluidBus, advance_wide, eta_wide, refill_rates_wide
 from repro.sim.trace import Trace
 
@@ -234,7 +233,6 @@ class TestVectorMinSwitchover:
 
     @pytest.mark.parametrize("model", ["InceptionV3", "UNet"])
     def test_clean_equivalence_with_forced_vector_paths(self, model, monkeypatch):
-        monkeypatch.setattr(sim_mod, "_VECTOR_MIN", 4)
         monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 4)
         program, machine = _program_for(model, CompileOptions.stratum_config())
         for seed in (0, 1, 2):
@@ -264,14 +262,13 @@ class TestVectorMinSwitchover:
         baseline = simulate(program, npu, seed=1, memo=None)
         event_driven = simulate_event_driven(program, npu, seed=1)
         assert_traces_identical(baseline, event_driven)
-        monkeypatch.setattr(sim_mod, "_VECTOR_MIN", 2)
         monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 2)
         forced = simulate(program, npu, seed=1, memo=None)
         assert_traces_identical(forced, baseline)
 
     def test_faulted_equivalence_with_forced_vector_paths(self, monkeypatch):
         """Stall windows interact with bus integration: the fault engine
-        (object FluidBus) must be unchanged by the wide-path switchover."""
+        (the session loop) must be unchanged by the wide-path switchover."""
         plan = FaultPlan(
             events=(
                 TransientStall(start_us=10.0, duration_us=200.0, core=0),
