@@ -29,13 +29,11 @@ from repro.faults.plan import (
     device_offline_plan,
     random_stalls,
 )
-from repro.faults.session import FaultInjector
 from repro.faults.spec import parse_fault_spec
 
 __all__ = [
     "CoreOffline",
     "FaultEvent",
-    "FaultInjector",
     "FaultPlan",
     "FaultStats",
     "ThermalThrottle",

@@ -6,8 +6,6 @@ must decide which ones run when, on which cores.  See
 :mod:`repro.serve.server` for the execution model.
 """
 
-from repro.serve.continuous import serve_continuous, serve_degraded_continuous
-from repro.serve.degraded import serve_degraded
 from repro.serve.fleet import (
     CacheAffinityRouter,
     DeviceSummary,
@@ -100,9 +98,6 @@ __all__ = [
     "resolve_graph",
     "route_requests",
     "serve",
-    "serve_continuous",
-    "serve_degraded",
-    "serve_degraded_continuous",
     "serve_fleet",
     "serve_policies",
     "validate_assignments",

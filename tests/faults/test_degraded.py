@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle
 from repro.hw import exynos2100_like
-from repro.serve import LatencyPredictor, serve, serve_degraded, serve_policies
+from repro.serve import LatencyPredictor, serve, serve_policies
 
 MIX = ["MobileNetV2", "InceptionV3"]
 KW = dict(rps=2000.0, duration_us=5000.0, seed=0)
@@ -47,10 +47,6 @@ class TestEmptyPlanNoOp:
         d = clean.to_dict(include_requests=True)
         assert "degraded" not in d and "shed_requests" not in d
         assert all("attempts" not in r for r in d["requests"])
-
-    def test_serve_degraded_rejects_empty_plan(self, npu, predictor):
-        with pytest.raises(ValueError):
-            serve_degraded(MIX, npu, FaultPlan(), predictor=predictor, **KW)
 
 
 class TestDeterminism:

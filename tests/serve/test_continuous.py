@@ -1,10 +1,9 @@
-"""Continuous (backfill) serving: equivalence, work conservation, faults.
+"""Continuous (backfill) serving: improvement over gang, work
+conservation, faults.
 
-The equivalence suite is the correctness anchor for the shared-timeline
-engine: continuous mode with admission restricted to wave barriers must
-reproduce the gang scheduler's report *field for field* -- same
-parameters, policies, and seed as the committed benchmark
-(``tests/serve/test_bench_regression.py``).
+Same parameters, policies and seed as the committed benchmark
+(``tests/serve/test_bench_regression.py``); the report-level pins of
+both modes live in ``tests/serve/test_serving_pins.py``.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from repro.serve import (
     PolicyError,
     SchedulingPolicy,
     serve,
-    serve_continuous,
-    serve_degraded_continuous,
 )
 from repro.verify import check_structure
 
@@ -53,21 +50,6 @@ def continuous(npu, predictor):
         p: serve(MIX, npu, policy=p, predictor=predictor, mode="continuous", **KW)
         for p in POLICIES
     }
-
-
-class TestBarrierEquivalence:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_reproduces_gang_field_for_field(self, npu, predictor, gang, policy):
-        barrier = serve_continuous(
-            MIX, npu, policy=policy, predictor=predictor,
-            wave_barrier=True, **KW
-        )
-        assert barrier.mode == "gang"
-        assert barrier.continuous is None
-        assert barrier.to_dict(include_requests=True) == gang[
-            policy
-        ].to_dict(include_requests=True)
-        assert barrier.to_json() == gang[policy].to_json()
 
 
 class TestStrictImprovement:
@@ -239,10 +221,9 @@ class TestDegradedContinuous:
         assert all(s.reason == "no-cores" for s in report.shed)
 
     def test_shed_slo_composes(self, npu, predictor, continuous):
-        report = serve_degraded_continuous(
-            MIX, npu, OFFLINE, policy="fifo", predictor=predictor,
-            shed_slo=True, slo_scale=1.0, rps=RPS,
-            duration_us=DURATION_US, seed=SEED,
+        report = serve(
+            MIX, npu, policy="fifo", predictor=predictor, faults=OFFLINE,
+            mode="continuous", shed_slo=True, slo_scale=1.0, **KW
         )
         assert all(
             s.reason in ("slo", "retries", "no-cores") for s in report.shed
@@ -252,9 +233,3 @@ class TestDegradedContinuous:
             slo_scale=1.0, **KW
         )
         assert len(report.results) + len(report.shed) == clean.num_requests
-
-    def test_rejects_empty_plan(self, npu, predictor):
-        with pytest.raises(ValueError):
-            serve_degraded_continuous(
-                MIX, npu, FaultPlan(), predictor=predictor, **KW
-            )

@@ -114,7 +114,7 @@ class TestEdgeCases:
         class OverlappingPolicy(SchedulingPolicy):
             name = "rogue"
 
-            def plan(self, queue, npu, predictor):
+            def plan(self, queue, npu, predictor, cores=None):
                 return [
                     (queue[0], (0, 1)),
                     (queue[0], (1, 2)),
