@@ -307,18 +307,16 @@ def serve(
         in_flight += 1
 
     def retire(out: InjectionOutcome) -> None:
-        nonlocal clock, heat_at_us, makespan_us, in_flight, num_retries, num_failed
+        nonlocal heat_at_us, makespan_us, in_flight, num_retries, num_failed
         info: _InFlight = out.meta
         in_flight -= 1
         trace = out.trace
         for core in range(num_cores):
             busy_cycles[core] += trace.busy_time(core)
-        end_cy = out.completed_at_cycles
-        if gang and out.failed:
-            end_cy = trace.makespan
-        done_us = out.origin_us + cycles_to_us(end_cy)
+        # A failed injection ends when its last command completed or was
+        # abandoned: a core death that aborts running work ends it.
+        done_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
         if gang:
-            clock = done_us
             session.cool(out.completed_at_cycles)
             heat[:] = session.heat
             heat_at_us = done_us
@@ -335,7 +333,7 @@ def serve(
             for c in cores:
                 occupancy[c].append((info.admitted_us, done_us))
                 # Cores return to the pool only while they are alive.
-                if gang or not session.dead[c]:
+                if not session.dead[c]:
                     free.append(c)
                     free_since[c] = done_us
             if f"s{slot}" in failed:
@@ -379,14 +377,13 @@ def serve(
             if len(dead) >= num_cores:
                 # Offline cores never come back: drain what is in flight
                 # (it is doomed) and shed everything else.
-                if not gang:
-                    for out in session.run_until(None, stop_on_completion=False):
-                        for core in range(num_cores):
-                            busy_cycles[core] += out.trace.busy_time(core)
-                        shed_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
-                        for request, _ in out.meta.pairs:
-                            shed.append(ShedRecord(request, shed_us, "no-cores"))
-                    clock = max(clock, session.now_us)
+                for out in session.run_until(None, stop_on_completion=False):
+                    for core in range(num_cores):
+                        busy_cycles[core] += out.trace.busy_time(core)
+                    shed_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
+                    for request, _ in out.meta.pairs:
+                        shed.append(ShedRecord(request, shed_us, "no-cores"))
+                clock = max(clock, session.now_us)
                 for r in queue:
                     shed.append(ShedRecord(r, shed_us=clock, reason="no-cores"))
                 for r in pending:

@@ -133,6 +133,23 @@ class TestShedding:
         }
 
 
+class TestFailedWaveEnd:
+    def test_one_death_fails_one_wave(self, npu, predictor):
+        """A wave that a core death aborts ends at that death, not at its
+        last completed command: the retry wave then plans around the
+        dead core instead of starting on it and failing a second time."""
+        report = serve(
+            MIX, npu, policy="fifo", predictor=predictor,
+            faults=FaultPlan(events=(CoreOffline(core=2, at_us=1900.0),)),
+            rps=2000.0, duration_us=3000.0, seed=0,
+        )
+        assert report.degraded.num_failed_waves == 1
+        assert report.degraded.num_retries == 1
+        for r in report.results:
+            if r.finish_us > 1900.0:
+                assert 2 not in r.cores
+
+
 class TestThrottling:
     def test_heat_carries_across_waves(self, npu, predictor):
         plan = FaultPlan(events=(ThermalThrottle(),))

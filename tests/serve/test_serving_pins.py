@@ -63,7 +63,7 @@ PINS = {
     ("continuous", "faulted"): "7a4fdc3706806200",
     ("continuous", "all-dead"): "a5608f497fb902b5",
     ("continuous", "shed-slo"): "3bd0197e549efec7",
-    ("gang", "fleet-kill"): "2704aecd4cf2ff8a",
+    ("gang", "fleet-kill"): "470073a182f96716",
     ("continuous", "fleet-kill"): "5e1e496830c46c6f",
 }
 
