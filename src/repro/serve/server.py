@@ -410,16 +410,16 @@ def serve(
         if ready and free and not (gang and in_flight):
             free_t = tuple(free)
             if gang:
-                wave = policy.plan(ready, npu, predictor, cores=free_t)
-                validate_assignments(policy, wave, ready, npu)
-                batches = [wave]
+                assigned = policy.plan(ready, npu, predictor, cores=free_t)
             else:
-                admitted = policy.admit(ready, npu, predictor, free_cores=free_t)
-                validate_assignments(
-                    policy, admitted, ready, npu,
-                    allowed_cores=free_t, allow_empty=True,
-                )
-                batches = [[pair] for pair in admitted]
+                assigned = policy.admit(ready, npu, predictor, free_cores=free_t)
+            # Declining to backfill is legal (it shows up as policy
+            # stall time); an empty wave would never make progress.
+            validate_assignments(
+                policy, assigned, ready, npu,
+                allowed_cores=free_t, allow_empty=not gang,
+            )
+            batches = [assigned] if gang else [[pair] for pair in assigned]
             for pairs in batches:
                 inject(pairs, free_t)
             if batches:

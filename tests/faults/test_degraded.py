@@ -6,7 +6,13 @@ import pytest
 
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle
 from repro.hw import exynos2100_like
-from repro.serve import LatencyPredictor, serve, serve_policies
+from repro.serve import (
+    LatencyPredictor,
+    PolicyError,
+    SchedulingPolicy,
+    serve,
+    serve_policies,
+)
 
 MIX = ["MobileNetV2", "InceptionV3"]
 KW = dict(rps=2000.0, duration_us=5000.0, seed=0)
@@ -148,6 +154,29 @@ class TestFailedWaveEnd:
         for r in report.results:
             if r.finish_us > 1900.0:
                 assert 2 not in r.cores
+
+
+class _WholeMachinePolicy(SchedulingPolicy):
+    """Ignores ``cores``: plans every request onto the whole machine."""
+
+    name = "whole-machine"
+
+    def plan(self, queue, npu, predictor, cores=None):
+        return [(queue[0], predictor.all_cores)]
+
+
+class TestLiveCoresOnly:
+    @pytest.mark.parametrize("mode", ["gang", "continuous"])
+    def test_policy_planning_onto_dead_core_rejected(self, npu, predictor, mode):
+        """A policy bug must surface as one, not as every request shed
+        for ``"retries"`` as though the fault had caused it."""
+        with pytest.raises(PolicyError, match="not free"):
+            serve(
+                ["MobileNetV2"], npu, policy=_WholeMachinePolicy(),
+                predictor=predictor,
+                faults=FaultPlan(events=(CoreOffline(core=0, at_us=1000.0),)),
+                duration_us=3000.0, seed=0, mode=mode,
+            )
 
 
 class TestThrottling:
