@@ -16,6 +16,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -60,6 +61,26 @@ def _machine(spec: str):
         return resolve_machine(spec)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+
+
+def _at_least(kind: type, low: float, strict: bool = False):
+    """An argparse ``type=`` for a finite number ``>= low`` (``> low``
+    when ``strict``); anything else exits 2 with a message."""
+    bound = f"{'>' if strict else '>='} {low}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(
+                f"expected {noun} {bound}, got {text!r}"
+            ) from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _graph(name: str):
@@ -875,11 +896,12 @@ def build_parser() -> argparse.ArgumentParser:
         "delay under backlog); 'both' runs and compares the two",
     )
     p.add_argument(
-        "--rps", type=float, default=800.0,
+        "--rps", type=_at_least(float, 0, strict=True), default=800.0,
         help="offered load, requests per second of simulated time",
     )
     p.add_argument(
-        "--duration", type=float, default=20.0, metavar="MS",
+        "--duration", type=_at_least(float, 0, strict=True), default=20.0,
+        metavar="MS",
         help="arrival window in simulated milliseconds",
     )
     p.add_argument(
@@ -887,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="2 ms smoke-test window (overrides --duration)",
     )
     p.add_argument(
-        "--requests", type=int, default=0, metavar="N",
+        "--requests", type=_at_least(int, 0), default=0, metavar="N",
         help="additionally cap the workload at N requests",
     )
     p.add_argument(
@@ -901,11 +923,11 @@ def build_parser() -> argparse.ArgumentParser:
         "'stall:bus@10%%+500us', 'throttle' (comma-separate to combine)",
     )
     p.add_argument(
-        "--retry-limit", type=int, default=3, metavar="N",
+        "--retry-limit", type=_at_least(int, 1), default=3, metavar="N",
         help="max executions per request before it is shed (default 3)",
     )
     p.add_argument(
-        "--backoff-us", type=float, default=200.0, metavar="US",
+        "--backoff-us", type=_at_least(float, 0), default=200.0, metavar="US",
         help="base of the exponential retry backoff (default 200us)",
     )
     p.add_argument(
@@ -961,11 +983,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile configuration for multi-core groups",
     )
     p.add_argument(
-        "--rps", type=float, default=3000.0,
+        "--rps", type=_at_least(float, 0, strict=True), default=3000.0,
         help="fleet-wide offered load, requests per second",
     )
     p.add_argument(
-        "--duration", type=float, default=20.0, metavar="MS",
+        "--duration", type=_at_least(float, 0, strict=True), default=20.0,
+        metavar="MS",
         help="arrival window in simulated milliseconds",
     )
     p.add_argument(
@@ -973,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="2 ms smoke-test window (overrides --duration)",
     )
     p.add_argument(
-        "--requests", type=int, default=0, metavar="N",
+        "--requests", type=_at_least(int, 0), default=0, metavar="N",
         help="additionally cap the workload at N requests",
     )
     p.add_argument(

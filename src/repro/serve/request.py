@@ -128,6 +128,7 @@ def generate_requests(
         raise ValueError("rps must be positive")
     if duration_us <= 0:
         raise ValueError("duration_us must be positive")
+    _check_cap(max_requests)
     names, weights = _normalize_mix(models)
 
     rng = random.Random(seed)
@@ -150,6 +151,13 @@ def generate_requests(
     return requests
 
 
+def _check_cap(max_requests: int) -> None:
+    """``max_requests`` is a cap (0: none); a negative cap is malformed,
+    not an empty workload."""
+    if max_requests < 0:
+        raise ValueError(f"max_requests must be >= 0, got {max_requests}")
+
+
 def _finalize(
     draws: List[Tuple[float, str]],
     max_requests: int,
@@ -161,6 +169,7 @@ def _finalize(
     generation order; rids are therefore a deterministic function of
     the full draw set.
     """
+    _check_cap(max_requests)
     draws.sort(key=lambda d: d[0])
     if max_requests:
         draws = draws[:max_requests]

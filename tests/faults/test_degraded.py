@@ -179,6 +179,20 @@ class TestLiveCoresOnly:
             )
 
 
+class TestRetryParameters:
+    @pytest.mark.parametrize("faults", [None, OFFLINE], ids=["clean", "offline"])
+    @pytest.mark.parametrize("mode", ["gang", "continuous"])
+    @pytest.mark.parametrize(
+        "bad", [dict(retry_limit=0), dict(backoff_us=-5.0)], ids=["limit", "backoff"]
+    )
+    def test_rejected_by_serve(self, npu, predictor, faults, mode, bad):
+        with pytest.raises(ValueError, match="retry_limit|backoff_us"):
+            serve(
+                MIX, npu, predictor=predictor, faults=faults, mode=mode,
+                **bad, **KW
+            )
+
+
 class TestThrottling:
     def test_heat_carries_across_waves(self, npu, predictor):
         plan = FaultPlan(events=(ThermalThrottle(),))

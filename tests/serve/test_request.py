@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.serve import Request, RequestResult, generate_requests, percentile
+from repro.serve import (
+    Request,
+    RequestResult,
+    generate_requests,
+    make_arrivals,
+    percentile,
+)
 
 
 class TestGenerator:
@@ -63,6 +69,14 @@ class TestGenerator:
             generate_requests(["m"], rps=100, duration_us=0)
         with pytest.raises(ValueError):
             generate_requests([("m", -1.0)], rps=100, duration_us=1000)
+
+    @pytest.mark.parametrize("kind", ["poisson", "diurnal", "bursty", "sessions"])
+    def test_negative_cap_rejected(self, kind):
+        """A negative cap is malformed, not an empty workload."""
+        with pytest.raises(ValueError, match="max_requests"):
+            make_arrivals(kind, ["m"], 1000, 10_000, max_requests=-1)
+        with pytest.raises(ValueError, match="max_requests"):
+            generate_requests(["m"], rps=1000, duration_us=10_000, max_requests=-1)
 
 
 class TestRequestResult:

@@ -327,6 +327,25 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve", "--duration-short", "--faults", "meteor@50%"])
 
+    @pytest.mark.parametrize(
+        "cmd, flags",
+        [
+            ("serve", ["--rps", "0"]),
+            ("serve", ["--rps", "nan"]),
+            ("serve", ["--duration", "0"]),
+            ("serve", ["--requests", "-1"]),
+            ("serve", ["--faults", "throttle", "--retry-limit", "0"]),
+            ("serve", ["--faults", "throttle", "--backoff-us", "-5"]),
+            ("fleet", ["--rps", "0"]),
+            ("fleet", ["--requests", "-1"]),
+        ],
+    )
+    def test_malformed_flags_exit_2(self, capsys, cmd, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--duration-short", *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[-2]}: must be" in capsys.readouterr().err
+
 
 class TestSweepAndTables:
     def test_sweep(self, capsys):
