@@ -240,14 +240,10 @@ def serve(
     eligible_us: Dict[int, float] = {}
     busy_cycles = [0.0] * num_cores
     patterns_used: set = set()
-    dead_at_start = plan.dead_cores_at(0.0) if plan is not None else ()
-    free = [c for c in range(num_cores) if c not in dead_at_start]
+    free = list(range(num_cores))
     free_since = [0.0] * num_cores
     occupancy: List[List[Tuple[float, float]]] = [[] for _ in range(num_cores)]
     admissions: List[AdmissionRecord] = []
-    #: gang mode carries heat across waves, cooling through the gaps.
-    heat = [0.0] * num_cores
-    heat_at_us = 0.0
     policy_stall_us = 0.0
     clock = 0.0
     makespan_us = 0.0
@@ -266,17 +262,22 @@ def serve(
         total_busy += sum(session.busy_cycles)
 
     def inject(pairs: Assignment, free_t: Tuple[int, ...]) -> None:
-        nonlocal session, heat_at_us, index, in_flight
+        nonlocal session, index, in_flight
         pattern = tuple((r.model, cores) for r, cores in pairs)
         merged = predictor.merged_for(pattern)
         patterns_used.add(pattern)
         if gang:
-            dt = npu.us_to_cycles(clock - heat_at_us)
+            # The wave's frame carries the previous wave's heat, cooled
+            # to its end and then through the idle gap.
+            session.cool(session.clock)
+            heat = session.heat
+            dt = npu.us_to_cycles(clock - session.now_us)
             if dt > 0:
-                for core in range(num_cores):
-                    h = heat[core] - npu.core(core).cool_per_cycle * dt
-                    heat[core] = h if h > 0 else 0.0
-                heat_at_us = clock
+                heat = [
+                    max(0.0, h - npu.core(core).cool_per_cycle * dt)
+                    for core, h in enumerate(heat)
+                ]
+            fold_session()
             session = SimSession(
                 npu, faults=plan, origin_us=clock, initial_heat=heat
             )
@@ -307,7 +308,7 @@ def serve(
         in_flight += 1
 
     def retire(out: InjectionOutcome) -> None:
-        nonlocal heat_at_us, makespan_us, in_flight, num_retries, num_failed
+        nonlocal makespan_us, in_flight, num_retries, num_failed
         info: _InFlight = out.meta
         in_flight -= 1
         trace = out.trace
@@ -316,11 +317,6 @@ def serve(
         # A failed injection ends when its last command completed or was
         # abandoned: a core death that aborts running work ends it.
         done_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
-        if gang:
-            session.cool(out.completed_at_cycles)
-            heat[:] = session.heat
-            heat_at_us = done_us
-            fold_session()
         failed: set = set()
         if out.failed:
             num_failed += 1
@@ -465,8 +461,7 @@ def serve(
 
     degraded = None
     if plan is not None:
-        if not gang:
-            fold_session()
+        fold_session()
         degraded = DegradedStats(
             faults=plan.describe(),
             num_retries=num_retries,
