@@ -15,8 +15,9 @@ regimes into the event-driven simulator, deterministically:
 A :class:`FaultPlan` bundles fault events and rides into
 :func:`repro.sim.simulator.simulate` via its ``faults`` argument; an
 empty plan is a guaranteed no-op (the clean scheduler runs untouched,
-bit-identically).  :class:`FaultInjector` carries thermal and liveness
-state across the waves of a serving run (:mod:`repro.serve.degraded`).
+bit-identically).  Serving passes the plan to
+:func:`repro.serve.server.serve`, whose admission loop runs on
+fault-armed :class:`~repro.sim.session.SimSession` timelines.
 """
 
 from repro.faults.plan import (

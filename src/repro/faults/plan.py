@@ -192,7 +192,7 @@ def device_offline_plan(num_cores: int, at_us: float) -> FaultPlan:
 
     The fleet layer (:mod:`repro.serve.fleet`) kills a device by
     handing its server this plan -- in-flight work is doomed and the
-    degraded serving loop sheds everything stranded with reason
+    serving loop sheds everything stranded with reason
     ``"no-cores"``, which is what keeps the fleet-wide
     served+shed==generated invariant intact through a device loss.
     """

@@ -20,7 +20,7 @@ independent -- they fan out over a ``ProcessPoolExecutor`` with
 Device death composes with the fault layer: a device killed at
 ``t_us`` runs under :func:`repro.faults.plan.device_offline_plan`
 (every core offline at ``t_us``), so requests routed to it *before*
-the death are retried and finally shed by the degraded loop, while the
+the death are retried and finally shed by the serving loop, while the
 router stops selecting it for arrivals at or after the kill time.  The
 fleet report checks the global ledger: requests served plus requests
 shed equals requests generated, across the whole fleet, no matter what
@@ -389,7 +389,7 @@ def _serve_one_device(
     faults = None
     if device.killed_at_us is not None:
         # Whole-device death: every core offline at the kill time.  The
-        # degraded loop sheds stranded work with reason "no-cores"
+        # serving loop sheds stranded work with reason "no-cores"
         # unconditionally, so no SLO-shedding policy change is needed
         # to keep the fleet ledger exact.
         faults = device_offline_plan(device.npu.num_cores, device.killed_at_us)

@@ -1,8 +1,9 @@
 """Serving metrics: latency percentiles, SLO compliance, utilization.
 
 Clean runs produce the exact report schema this module always had;
-degraded-mode runs (:mod:`repro.serve.degraded`) additionally attach a
-:class:`DegradedStats` section and shed-request records.  The extra
+runs under a non-empty fault plan additionally attach a
+:class:`DegradedStats` section and shed-request records, and
+continuous-mode runs a :class:`ContinuousStats` section.  The extra
 keys appear in ``to_dict`` output only when a degradation section is
 present, which keeps clean-path reports byte-identical whether or not
 the fault machinery is importable, configured, or passed an empty plan.
@@ -82,7 +83,8 @@ class DegradedStats:
     faults: str
     #: total re-executions (a request served on attempt 3 counts 2).
     num_retries: int
-    #: waves that lost at least one request to a fault.
+    #: injections (gang waves or continuous admissions) that lost at
+    #: least one request to a fault.
     num_failed_waves: int
     #: requests explicitly shed (SLO pressure or retry exhaustion).
     num_shed: int

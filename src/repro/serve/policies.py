@@ -15,16 +15,18 @@ start together on disjoint core groups.  Three policies ship:
   measurement catches).
 
 Every policy plans over an explicit *available core set* (``cores``),
-which defaults to the whole machine.  Degraded-mode serving
-(:mod:`repro.serve.degraded`) passes the surviving cores instead, so a
-policy transparently recompiles and repacks onto whatever the fault
-injector left alive -- the recompile itself is absorbed by the
-fingerprint-keyed program cache, which already keys by core group.
+which defaults to the whole machine.  The serving loop
+(:func:`repro.serve.server.serve`) always passes the free cores that
+are still alive, so under a fault plan a policy transparently
+recompiles and repacks onto whatever survived -- the recompile itself
+is absorbed by the fingerprint-keyed program cache, which already keys
+by core group -- and an assignment outside that set is a
+:class:`PolicyError`.
 
-Continuous-mode serving (:mod:`repro.serve.continuous`) calls
-:meth:`SchedulingPolicy.admit` instead of :meth:`~SchedulingPolicy.plan`
-whenever a core group frees up: the policy sees only the *free* cores
-and decides, incrementally, what to start on them right now.  The base
+Continuous-mode serving calls :meth:`SchedulingPolicy.admit` instead of
+:meth:`~SchedulingPolicy.plan` whenever a core group frees up: the
+policy sees only the *free* cores and decides, incrementally, what to
+start on them right now.  The base
 implementation delegates to ``plan`` over the free set, so any custom
 wave policy works in continuous mode unchanged; fifo and sjf override
 it to split the free cores across multiple queued requests (keeping
@@ -99,11 +101,11 @@ class SchedulingPolicy:
     ) -> Assignment:
         """Incremental admission onto the currently-free cores.
 
-        Called by the continuous server whenever ``free_cores`` (sorted,
-        non-empty) sit idle and ``queue`` is non-empty; other core
-        groups may still be running.  Returns assignments confined to
-        ``free_cores`` (an empty list declines to admit -- the engine
-        records that as policy stall time).  The default delegates to
+        Called by the continuous-mode serving loop whenever
+        ``free_cores`` (sorted, non-empty) sit idle and ``queue`` is
+        non-empty; other core groups may still be running.  Returns
+        assignments confined to ``free_cores`` (an empty list declines
+        to admit -- the loop records that as policy stall time).  The default delegates to
         :meth:`plan` over the free set, which keeps custom wave policies
         working in continuous mode without changes.
         """
@@ -297,11 +299,11 @@ def validate_assignments(
     """Guard rails for (possibly user-supplied) policies.
 
     An empty plan over a non-empty queue is rejected by name -- the
-    serving loops would otherwise spin forever on a policy that never
-    schedules anything.  Continuous-mode admission passes
-    ``allow_empty=True`` (declining to backfill is legal there, the
-    engine accounts it as policy stall time) and ``allowed_cores`` (the
-    free set admissions must stay within).
+    serving loop would otherwise spin forever on a policy that never
+    schedules anything.  The serving loop passes ``allowed_cores`` (the
+    free set assignments must stay within) in both modes, and
+    ``allow_empty=True`` for continuous admission (declining to backfill
+    is legal there, the loop accounts it as policy stall time).
     """
     if not assignments:
         if allow_empty:
