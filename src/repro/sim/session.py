@@ -37,6 +37,12 @@ mechanisms make that exact rather than approximate:
   splits a bus advance at the limit time, which barrier-equivalent
   callers never hit mid-wave (they run each wave to completion).
 
+The contract also lets a solo fresh-frame injection skip this loop: its
+outcome comes from :mod:`repro.sim.memo` on a hit and, when the caller
+runs it to completion, from the one-shot flat core on a miss, which
+costs less per command than the general loop (every clean gang wave of
+the serving loop runs that way).
+
 Trace events of a finished injection are reported in frame-local cycles
 together with the frame origin, mirroring how the gang server consumes
 ``simulate()`` results.
@@ -53,7 +59,14 @@ from repro.hw.config import NPUConfig
 from repro.sim import memo as memo_mod
 from repro.sim.bus import advance_eta, force_min, refill_eta
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
-from repro.sim.simulator import _EPS, SimResult, _finished_columns, _plan_for, _SimPlan
+from repro.sim.simulator import (
+    _EPS,
+    SimResult,
+    _finished_columns,
+    _plan_for,
+    _SimPlan,
+    simulate,
+)
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,6 +147,7 @@ class _Injection:
     __slots__ = (
         "iid", "label", "meta", "program", "plan", "base", "total", "left",
         "num_doomed", "origin_us", "injected_at", "pqids", "solo", "memo_key",
+        "seed",
     )
 
     def __init__(
@@ -166,6 +180,7 @@ class _Injection:
         #: partial bus advances); gates the memo fast path and store.
         self.solo = False
         self.memo_key: Optional[Tuple] = None
+        self.seed = 0
 
 
 class SimSession:
@@ -397,6 +412,7 @@ class SimSession:
         inj = _Injection(iid, label, meta, program, plan, base, self.origin_us, self.clock)
         if solo:
             inj.solo = True
+            inj.seed = seed
             inj.memo_key = memo_mod.clean_key(program, npu, seed)
             self._fast_iid = iid
         self._active[iid] = inj
@@ -660,14 +676,17 @@ class SimSession:
         )
 
     def _try_fast_path(self, limit: Optional[float]) -> bool:
-        """Deliver a memoized one-shot result for a solo fresh-frame
-        injection without running the event loop.
+        """Deliver a one-shot result for a solo fresh-frame injection
+        without running the event loop.
 
         Only fires in the state the reproducibility contract covers:
         clean session, exactly one injection, frame clock at zero,
         nothing started yet (empty heap and bus), and no limit short of
-        the cached makespan.  Delivered traces are the shared memo
-        objects -- identical to what the loop would have produced.
+        the makespan.  A memoized result is delivered as the shared memo
+        object; on a miss with no limit, the one-shot flat core runs the
+        program (cheaper per command than this loop) and its result is
+        stored as the loop would have stored it.  Either way the outcome
+        is identical to what the loop would have produced.
         """
         iid = self._fast_iid
         if iid is None or self.memo is None:
@@ -685,15 +704,18 @@ class SimSession:
             return False
         result = self.memo.get(inj.memo_key)
         if result is None:
-            return False
-        if limit is not None and limit < result.makespan_cycles:
+            if limit is not None:
+                return False
+            result = simulate(inj.program, self.npu, seed=inj.seed, memo=None)
+            self.memo.put(inj.memo_key, result)
+        elif limit is not None and limit < result.makespan_cycles:
             return False
         if self.check_bounds:
             from repro.verify.bounds import bounds_for
 
             bounds_for(inj.program, self.npu).assert_contains(
                 result.makespan_cycles,
-                context=f"memoized session injection {inj.label!r}",
+                context=f"solo session injection {inj.label!r}",
             )
         self._fast_iid = None
         del self._active[iid]

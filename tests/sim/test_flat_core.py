@@ -122,7 +122,8 @@ class TestSession:
         memo = SimMemo(store_on_first_miss=True)
         session = SimSession(machine, memo=memo)
         session.inject(program, at_us=0.0, seed=2)
-        (first,) = session.run_until()
+        # A limit keeps a memo miss in the event loop.
+        (first,) = session.run_until(until_us=1e12)
         assert memo.hits == 0  # the first run populated the cache
 
         session.inject(program, at_us=9000.5, seed=2)
@@ -131,3 +132,38 @@ class TestSession:
         assert second.completed_at_cycles == first.completed_at_cycles
         assert self._events(second.trace) == self._events(first.trace)
         assert second.origin_us == 9000.5
+
+    def test_miss_run_to_completion_takes_flat_core(self, monkeypatch):
+        """On a memo miss, a solo injection run to completion goes
+        through the one-shot flat core (cheaper per command than the
+        session loop) with the loop's exact outcome; a limit short of
+        completion keeps it in the loop."""
+        from repro.sim import simulator
+        from repro.sim.memo import SimMemo
+
+        program, machine = _program_for("MobileNetV2", CompileOptions.base())
+        loop = SimSession(machine, memo=None)
+        loop.inject(program, at_us=50.0, seed=2)
+        (ref,) = loop.run_until()
+
+        flat_runs = []
+        run_flat = simulator._run_flat
+
+        def counting(*args):
+            flat_runs.append(args)
+            return run_flat(*args)
+
+        monkeypatch.setattr(simulator, "_run_flat", counting)
+        memo = SimMemo(store_on_first_miss=True)
+        session = SimSession(machine, memo=memo)
+        session.inject(program, at_us=50.0, seed=2)
+        (out,) = session.run_until()
+        assert len(flat_runs) == 1 and len(memo) == 1
+        assert out.completed_at_cycles == ref.completed_at_cycles
+        assert self._events(out.trace) == self._events(ref.trace)
+        assert session.now_us == loop.now_us
+
+        limited = SimSession(machine, memo=SimMemo(store_on_first_miss=True))
+        limited.inject(program, at_us=0.0, seed=2)
+        assert limited.run_until(until_us=1.0) == []
+        assert len(flat_runs) == 1
