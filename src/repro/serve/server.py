@@ -371,15 +371,17 @@ def serve(
         if plan is not None:
             dead = plan.dead_cores_at(clock)
             if len(dead) >= num_cores:
-                # Offline cores never come back: drain what is in flight
-                # (it is doomed) and shed everything else.
+                # Offline cores never come back: what is in flight fails
+                # at the death, and everything else is shed.  The clock
+                # follows the failed injections, not the session, whose
+                # drain also fires aborted commands' leftover events.
                 for out in session.run_until(None, stop_on_completion=False):
                     for core in range(num_cores):
                         busy_cycles[core] += out.trace.busy_time(core)
                     shed_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
+                    clock = max(clock, shed_us)
                     for request, _ in out.meta.pairs:
                         shed.append(ShedRecord(request, shed_us, "no-cores"))
-                clock = max(clock, session.now_us)
                 for r in queue:
                     shed.append(ShedRecord(r, shed_us=clock, reason="no-cores"))
                 for r in pending:

@@ -156,6 +156,28 @@ class TestFailedWaveEnd:
                 assert 2 not in r.cores
 
 
+class TestAllDeadShedTime:
+    @pytest.mark.parametrize("mode", ["gang", "continuous"])
+    def test_queue_shed_at_the_death(self, npu, predictor, mode):
+        """With every core dead mid-run, the queue is shed at the death
+        (later arrivals on arrival), not at the finish times of the
+        commands the death aborted."""
+        death_us = 2000.0
+        report = serve(
+            MIX, npu, policy="fifo", predictor=predictor, mode=mode,
+            faults=FaultPlan(
+                events=tuple(CoreOffline(core=c, at_us=death_us) for c in range(3))
+            ),
+            rps=3000.0, duration_us=4000.0, seed=0,
+        )
+        assert report.shed
+        for s in report.shed:
+            assert s.reason == "no-cores"
+            assert s.shed_us == pytest.approx(
+                max(death_us, s.request.arrival_us), abs=1e-6
+            )
+
+
 class _WholeMachinePolicy(SchedulingPolicy):
     """Ignores ``cores``: plans every request onto the whole machine."""
 
