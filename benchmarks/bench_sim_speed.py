@@ -4,16 +4,18 @@ Three layers of measurement, all on one compiled program:
 
 * **cold core speed** (``memo=None``, fresh seeds): trace events per
   second of the three scheduler generations -- the queue-scanning
-  reference (:mod:`repro.sim.reference_scheduler`), the retained
-  object-based event-driven core (:mod:`repro.sim.event_core`), and the
-  flat struct-of-arrays core in :mod:`repro.sim.simulator` -- plus the
-  general session loop the same program runs on as a solo
-  :class:`~repro.sim.SimSession` injection and as a
-  :func:`~repro.faults.engine.simulate_faulted` call under an inert
-  fault plan.  The ordering reference < event-driven < flat, and the
-  session and faulted rows within 1.2x of flat, are asserted, so the
-  speed claims are re-checked on whatever machine runs this, not
-  compared against numbers measured on different hardware.
+  reference (``tests/sim/reference_scheduler.py``), the retained
+  object-based event-driven core (``tests/sim/event_core.py``), and the
+  one event loop, :class:`~repro.sim.SimSession`, timed as one-shot
+  :func:`~repro.sim.simulate` (the ``flat`` row, named after the core
+  it replaced) -- plus the same loop entered as a solo session
+  injection and as ``simulate(faults=...)`` under an inert fault plan.
+  The ordering reference < event-driven < one-shot, and the session
+  and faulted rows within 1.2x of one-shot, are asserted, so the speed
+  claims are re-checked on whatever machine runs this, not compared
+  against numbers measured on different hardware.  Session vs one-shot
+  compares two ways into one loop; faulted vs one-shot is the cost of
+  the armed fault hooks.
 * **memoized repeated-candidate regime**: the same (program, machine,
   seed) triples requested over and over through a
   :class:`repro.sim.SimMemo` -- the shape of every serving experiment
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import time
 from typing import Callable, Dict, List
 
@@ -45,21 +48,19 @@ from repro.analysis import build_grid, run_sweep
 from repro.analysis.compare import paper_configurations
 from repro.compiler import ProgramCache, compile_model
 from repro.faults import CoreOffline, FaultPlan
-from repro.faults.engine import simulate_faulted
 from repro.hw import exynos2100_like
 from repro.models import ZOO, get_model
 from repro.serve import LatencyPredictor, serve
-from repro.sim import (
-    SimMemo,
-    SimSession,
-    collect_stats,
-    simulate,
-    simulate_event_driven,
-    simulate_reference,
-)
+from repro.sim import SimMemo, SimSession, collect_stats, simulate
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_sim.json"
+
+# The retained reference cores are test-only modules under tests/sim/.
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+from tests.sim.event_core import simulate_event_driven  # noqa: E402
+from tests.sim.reference_scheduler import simulate_reference  # noqa: E402
 
 SEEDS = (0, 1, 2)
 SIM_MODEL = "InceptionV3"
@@ -72,7 +73,7 @@ SIM_ROUNDS = 5
 TIMING_REPEATS = 3
 #: memoized-regime cycles: each cycle re-requests every seed once.
 MEMO_CYCLES = 6
-#: the session and faulted rows must stay within this factor of flat.
+#: the session and faulted rows must stay within this factor of one-shot.
 LOOP_OVERHEAD_LIMIT = 1.2
 
 SERVE_MIX = ("MobileNetV2", "InceptionV3")
@@ -116,8 +117,9 @@ def _solo_session(program, npu, seed: int):
 
 
 def measure_sim_throughput(npu) -> Dict[str, float]:
-    """Cold events/second of all three scheduler generations, and of the
-    session loop (solo injection; inert fault plan)."""
+    """Cold events/second of all three scheduler generations (one-shot
+    ``simulate()`` is the ``flat`` row), and of the same loop entered as
+    a solo session injection and under an inert fault plan."""
     program = _compiled_program(npu)
     result = simulate(program, npu, seed=0, memo=None)  # warm the plan cache
     # Armed fault machinery that never fires: the core dies long after
@@ -126,13 +128,13 @@ def measure_sim_throughput(npu) -> Dict[str, float]:
 
     # Two interleaved groups: the retained cores are several times slower
     # and churn far more objects, which would tax whichever production
-    # row runs next; the tight session-vs-flat ratio is measured apart.
+    # row runs next; the tight session-vs-one-shot ratio is measured apart.
     elapsed = _fastest_runs(
         {
             "flat": lambda i: simulate(program, npu, seed=i, memo=None),
             "session": lambda i: _solo_session(program, npu, i),
-            "faulted": lambda i: simulate_faulted(
-                program, npu, seed=i, plan=inert, memo=None
+            "faulted": lambda i: simulate(
+                program, npu, seed=i, faults=inert, memo=None
             ),
         }
     )
@@ -314,11 +316,11 @@ def _render(results: Dict[str, object]) -> str:
             "Simulator speed (cold, memo disabled):",
             f"  events/sec (reference)   : {results['events_per_sec_reference']:,.0f}",
             f"  events/sec (event-driven): {results['events_per_sec_event_driven']:,.0f}",
-            f"  events/sec (flat core)   : {results['events_per_sec_flat']:,.0f}",
+            f"  events/sec (one-shot)    : {results['events_per_sec_flat']:,.0f}",
             f"  events/sec (solo session): {results['events_per_sec_session']:,.0f}",
             f"  events/sec (faulted)     : {results['events_per_sec_faulted']:,.0f}",
-            f"  flat vs event-driven     : {results['flat_vs_event_driven_speedup']:.2f}x",
-            f"  flat vs reference        : {results['sim_speedup']:.2f}x",
+            f"  one-shot vs event-driven : {results['flat_vs_event_driven_speedup']:.2f}x",
+            f"  one-shot vs reference    : {results['sim_speedup']:.2f}x",
             f"  check_bounds overhead    : {results['check_bounds_overhead']:.3f}x",
             "Memoized repeated-candidate regime "
             f"({results['memo_cycles']} cycles over {len(SEEDS)} seeds):",
@@ -355,8 +357,8 @@ def _persist(results: Dict[str, object]) -> None:
 
 
 def _check(results: Dict[str, object]) -> None:
-    """Machine-relative acceptance: speed orderings, session-loop
-    overhead, and live cache."""
+    """Machine-relative acceptance: speed orderings, session-entry and
+    fault-hook overhead, and live cache."""
     assert results["events_per_sec_flat"] >= results["events_per_sec_event_driven"]
     floor = results["events_per_sec_flat"] / LOOP_OVERHEAD_LIMIT
     assert results["events_per_sec_session"] >= floor

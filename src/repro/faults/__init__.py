@@ -12,12 +12,13 @@ regimes into the event-driven simulator, deterministically:
 * :class:`CoreOffline` -- a core dies at time t, abandoning every
   in-flight command stream that depends on it.
 
-A :class:`FaultPlan` bundles fault events and rides into
-:func:`repro.sim.simulator.simulate` via its ``faults`` argument; an
-empty plan is a guaranteed no-op (the clean scheduler runs untouched,
-bit-identically).  Serving passes the plan to
-:func:`repro.serve.server.serve`, whose admission loop runs on
-fault-armed :class:`~repro.sim.session.SimSession` timelines.
+A :class:`FaultPlan` bundles fault events.  The event loop of
+:class:`~repro.sim.session.SimSession` owns the injection points, and
+there are two ways in: :func:`repro.sim.simulator.simulate` with
+``faults=plan`` runs one program under the plan from t=0 and reports
+its :class:`FaultStats`, and :func:`repro.serve.server.serve` runs its
+admission loop on fault-armed sessions.  An empty plan is a guaranteed
+no-op: the clean run is bit-identical to one without any plan.
 """
 
 from repro.faults.plan import (

@@ -1,6 +1,5 @@
 """Discrete-event simulator for multicore NPUs."""
 
-from repro.sim.bus import FluidBus
 from repro.sim.energy import EnergyModel, EnergyReport, compare_energy, estimate_energy
 from repro.sim.multitenant import (
     ConcurrentResult,
@@ -12,14 +11,12 @@ from repro.sim.multitenant import (
     sub_machine,
     tenant_spans,
 )
-from repro.sim.event_core import simulate_event_driven
 from repro.sim.memo import (
     SimMemo,
     default_memo,
     machine_fingerprint,
     program_fingerprint,
 )
-from repro.sim.reference_scheduler import simulate_reference
 from repro.sim.session import InjectionOutcome, SimSession
 from repro.sim.simulator import SimResult, simulate
 from repro.sim.throughput import ThroughputResult, measure_throughput, repeat_program
@@ -39,7 +36,6 @@ __all__ = [
     "estimate_energy",
     "ConcurrentResult",
     "auto_assign",
-    "FluidBus",
     "Tenant",
     "TenantResult",
     "ThroughputResult",
@@ -61,7 +57,5 @@ __all__ = [
     "machine_fingerprint",
     "program_fingerprint",
     "simulate",
-    "simulate_event_driven",
-    "simulate_reference",
     "tenant_spans",
 ]

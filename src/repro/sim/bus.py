@@ -13,31 +13,28 @@ promises bit-identical traces for equal seeds, so any rewrite of these
 methods must produce the exact same float sequences (same operations in
 the same order), not merely equivalent math.
 
-Two forms of the model live here.  :class:`FluidBus` is the object
-form the retained reference cores drive.  The *epoch kernels*
-(:func:`refill_eta`, :func:`advance_eta`, :func:`force_min`) are the
-flat form both production event loops -- the one-shot core in
-:mod:`repro.sim.simulator` and :class:`repro.sim.session.SimSession` --
-call: the bus is a set of parallel lists (transfer id, residual bytes,
-link cap, rate) and each kernel fuses a membership step with the
-next-finish eta query that always follows it.  The clock does not move
-between the two, so the fused float sequence is the object form's
-split one.  They are unrolled for the 1-3 concurrent transfers that
-dominate real programs; at :data:`_VECTOR_MIN` transfers and up both
-forms switch to the numpy twins (``refill_rates_wide``,
-``advance_wide``, ``eta_wide``), which vectorize only the
-order-independent parts: elementwise decrements are float-for-float
-what the scalar loop computes, min is a selection, and the stable
-argsort equals the stable list sort -- while the water-filling budget
-walk itself stays scalar, because its running budget is *sequentially
-rounded* (each subtraction feeds the next fair share) and has no closed
-form with the same rounding.
+The *epoch kernels* (:func:`refill_eta`, :func:`advance_eta`,
+:func:`force_min`) are what the event loop of
+:class:`repro.sim.session.SimSession` calls: the bus is a set of
+parallel lists (transfer id, residual bytes, link cap, rate) and each
+kernel fuses a membership step with the next-finish eta query that
+always follows it.  The clock does not move between the two, so the
+fused float sequence is the split one of the object form the retained
+reference cores drive (``tests/sim/fluid_bus.py``).  The kernels are
+unrolled for the 1-3 concurrent transfers that dominate real programs;
+at :data:`_VECTOR_MIN` transfers and up both forms switch to the numpy
+twins (``refill_rates_wide``, ``advance_wide``, ``eta_wide``), which
+vectorize only the order-independent parts: elementwise decrements are
+float-for-float what the scalar loop computes, min is a selection, and
+the stable argsort equals the stable list sort -- while the
+water-filling budget walk itself stays scalar, because its running
+budget is *sequentially rounded* (each subtraction feeds the next fair
+share) and has no closed form with the same rounding.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +52,6 @@ _EPS = 1e-6
 _VECTOR_MIN = 16
 
 _INF = float("inf")
-
-_by_cap = operator.attrgetter("cap")
 
 
 def refill_rates_wide(caps: Sequence[float], bandwidth: float) -> List[float]:
@@ -121,10 +116,10 @@ def refill_eta(
     """Water-filling refill of ``rate``, fused with the eta query.
 
     Returns the time until the next transfer finishes (``inf`` for an
-    empty bus).  Same float sequence as ``FluidBus._recompute_rates``
-    followed by ``FluidBus.eta``: the sort is stable and list order is
-    insertion order; min is order-independent and every rate slot is
-    written exactly once.  ``uniform`` promises every cap is equal (a
+    empty bus).  Same float sequence as the object form's rate
+    recompute followed by its eta query: the sort is stable and list
+    order is insertion order; min is order-independent and every rate
+    slot is written exactly once.  ``uniform`` promises every cap is equal (a
     homogeneous machine), making the sort the identity, so it is
     skipped.
     """
@@ -256,8 +251,8 @@ def advance_eta(
     """Advance every in-flight transfer by ``dt``, fused with the eta.
 
     Transfers that drain are dropped and their ids appended to ``out``
-    in insertion order, as ``FluidBus.advance`` reports them; the caller
-    then refills the survivors' rates.  When none finished, returns the
+    in insertion order, as the object form's advance reports them; the
+    caller then refills the survivors' rates.  When none finished, returns the
     survivors' time to the next finish, final until the next membership
     change.  ``a - b * dt`` per transfer is the object form's decrement.
     (Finished ids go to a caller-owned list because building a result
@@ -376,7 +371,7 @@ def force_min(
 ) -> None:
     """Retire the transfer(s) closest to done into ``out``.
 
-    The flat form of ``FluidBus.force_min_completion``: the caller's
+    The flat form of the object form's forced completion: the caller's
     safety valve when the bus eta underflowed the clock's float
     resolution.  A zero-``dt`` advance can finish nothing (every
     residual exceeded the epsilon when it was last written), so the
@@ -407,172 +402,3 @@ def force_min(
             if r / ri <= nearest + _EPS:
                 at.append(i)
     _retire(ids, rem, cap, rate, at, out)
-
-
-class _Transfer:
-    __slots__ = ("cid", "remaining", "cap", "rate")
-
-    def __init__(self, cid: int, remaining: float, cap: float, rate: float = 0.0):
-        self.cid = cid
-        self.remaining = remaining
-        self.cap = cap
-        self.rate = rate
-
-
-class FluidBus:
-    """Tracks active DMA transfers and their instantaneous rates."""
-
-    def __init__(self, total_bandwidth: float) -> None:
-        if total_bandwidth <= 0:
-            raise ValueError("bus bandwidth must be positive")
-        self.total_bandwidth = total_bandwidth
-        self._active: Dict[int, _Transfer] = {}
-
-    @property
-    def num_active(self) -> int:
-        return len(self._active)
-
-    def add(self, cid: int, num_bytes: float, link_cap: float) -> bool:
-        """Register a transfer; returns True if it completed at add time.
-
-        Zero-byte (and negative) transfers really do complete
-        immediately: nothing is registered and the rates of in-flight
-        transfers are untouched.  (They used to be registered active,
-        skewing the water-filling split for every other transfer until
-        the next ``advance`` retired them.)  Both event cores gate bus
-        entry on ``num_bytes > 0``, so this path only serves direct
-        users of the bus model.
-        """
-        if cid in self._active:
-            raise ValueError(f"transfer {cid} already active")
-        if link_cap <= 0:
-            raise ValueError("link capacity must be positive")
-        if num_bytes <= 0:
-            return True
-        self._active[cid] = _Transfer(cid, float(num_bytes), link_cap)
-        self._recompute_rates()
-        return False
-
-    def _recompute_rates(self) -> None:
-        """Water-filling allocation of the bus among active transfers."""
-        active = self._active
-        budget = self.total_bandwidth
-        n = len(active)
-        if n == 1:
-            for tr in active.values():
-                tr.rate = tr.cap if tr.cap <= budget else budget
-            return
-        if n >= _VECTOR_MIN:
-            # Vector twin: stable argsort over insertion order equals
-            # the stable sort of the dict's values.
-            transfers = list(active.values())
-            rates = refill_rates_wide([tr.cap for tr in transfers], budget)
-            for tr, rate in zip(transfers, rates):
-                tr.rate = rate
-            return
-        transfers = sorted(active.values(), key=_by_cap)
-        for i, tr in enumerate(transfers):
-            fair = budget / (n - i)
-            cap = tr.cap
-            rate = cap if cap <= fair else fair
-            tr.rate = rate
-            budget -= rate
-
-    def eta(self) -> float:
-        """Time until the next active transfer finishes (inf when idle)."""
-        active = self._active
-        if len(active) >= _VECTOR_MIN:
-            return eta_wide(
-                [tr.remaining for tr in active.values()],
-                [tr.rate for tr in active.values()],
-            )
-        best = float("inf")
-        for tr in active.values():
-            rate = tr.rate
-            if rate > 0:
-                remaining = tr.remaining
-                if remaining < 0.0:
-                    remaining = 0.0
-                t = remaining / rate
-                if t < best:
-                    best = t
-        return best
-
-    def advance(self, dt: float) -> List[int]:
-        """Progress all transfers by ``dt``; return cids that completed."""
-        if dt < 0:
-            raise ValueError("cannot advance backwards")
-        active = self._active
-        finished: List[int] = []
-        if len(active) >= _VECTOR_MIN:
-            transfers = list(active.values())
-            new_rem, fin = advance_wide(
-                [tr.remaining for tr in transfers],
-                [tr.rate for tr in transfers],
-                dt,
-            )
-            for tr, rem in zip(transfers, new_rem):
-                tr.remaining = rem
-            finished = [transfers[i].cid for i in fin]
-        else:
-            for tr in active.values():
-                tr.remaining -= tr.rate * dt
-                if tr.remaining <= _EPS:
-                    finished.append(tr.cid)
-        if finished:
-            for cid in finished:
-                del active[cid]
-            self._recompute_rates()
-        return finished
-
-    def rates(self) -> Dict[int, float]:
-        return {cid: tr.rate for cid, tr in self._active.items()}
-
-    def cancel(self, cid: int) -> None:
-        """Abort an in-flight transfer (fault injection: its core died).
-
-        The freed bandwidth is redistributed among the survivors, same
-        as on a normal completion.
-        """
-        if cid not in self._active:
-            raise KeyError(f"transfer {cid} not active")
-        del self._active[cid]
-        self._recompute_rates()
-
-    def force_min_completion(self) -> List[int]:
-        """Finish the transfer(s) closest to done.
-
-        Safety valve against floating-point livelock: when the remaining
-        eta underflows the clock's resolution, the caller retires the
-        nearest transfer directly instead of advancing time by zero.
-        Raises ``RuntimeError`` when no transfer is making progress at
-        all (every active rate is zero) -- returning an empty list would
-        send the caller back into a zero-dt spin, so the degenerate case
-        is reported as the bus-side analogue of a scheduling deadlock.
-        """
-        if not self._active:
-            return []
-        nearest = min(
-            max(0.0, tr.remaining) / tr.rate if tr.rate > 0 else float("inf")
-            for tr in self._active.values()
-        )
-        if nearest == float("inf"):
-            stuck = [
-                f"#{tr.cid} {tr.remaining:.1f}B left, cap={tr.cap}, rate=0"
-                for tr in self._active.values()
-            ]
-            raise RuntimeError(
-                "bus livelock: no active transfer is making progress "
-                f"(bandwidth={self.total_bandwidth}): {stuck[:8]}"
-            )
-        finished = [
-            tr.cid
-            for tr in self._active.values()
-            if tr.rate > 0
-            and max(0.0, tr.remaining) / tr.rate <= nearest + _EPS
-        ]
-        for cid in finished:
-            del self._active[cid]
-        if finished:
-            self._recompute_rates()
-        return finished

@@ -9,17 +9,16 @@ design-space exploration (see PAPERS.md) gets its throughput exactly
 this way -- cheap re-evaluation of repeated candidates -- so the cache
 below generalizes the per-wave-shape memo that used to live privately
 inside :class:`repro.serve.LatencyPredictor` into a process-wide layer
-that :func:`repro.sim.simulate`, :meth:`repro.sim.SimSession.inject`
-and :func:`repro.faults.engine.simulate_faulted` all consult.
+that :func:`repro.sim.simulate` (clean and faulted) and
+:meth:`repro.sim.SimSession.inject` consult.
 
 Keys are *content* fingerprints, not object identities: a program is
 hashed over its command list, a machine over its serialized
 description, and a fault plan contributes its (hashable, frozen) event
-set plus the heat/offset carried across serving waves.  Two different
-program objects with identical commands therefore share one entry, and
-a clean run never aliases a faulted one.  An empty fault plan routes
-through :func:`repro.sim.simulate` to the clean scheduler, so it shares
-the clean entry by construction.
+set.  Two different program objects with identical commands therefore
+share one entry, and a clean run never aliases a faulted one.
+:func:`repro.sim.simulate` treats an empty fault plan as no plan, so it
+shares the clean entry by construction.
 
 Cached :class:`~repro.sim.simulator.SimResult` objects are returned
 *shared*: callers must treat traces as immutable (they already are --
@@ -104,21 +103,13 @@ def clean_key(program: "Program", npu: "NPUConfig", seed: int) -> Tuple:
 
 
 def faulted_key(
-    program: "Program",
-    npu: "NPUConfig",
-    seed: int,
-    plan: "FaultPlan",
-    time_offset_us: float = 0.0,
-    initial_heat: Optional[Tuple[float, ...]] = None,
+    program: "Program", npu: "NPUConfig", seed: int, plan: "FaultPlan"
 ) -> Tuple:
-    """Memo key for a fault-injected simulation.
+    """Memo key for a fault-injected one-shot simulation.
 
-    The fault-plan *signature* is the frozen plan itself plus the
-    cross-wave carry-over state (``time_offset_us`` aligns wall-clock
-    fault windows, ``initial_heat`` seeds the thermal model), so two
-    waves under the same plan but different accumulated heat never
-    alias.  The leading tag keeps faulted entries disjoint from clean
-    ones even for an empty plan.
+    The fault-plan *signature* is the frozen plan itself.  The leading
+    tag keeps faulted entries disjoint from clean ones even for an empty
+    plan.
     """
     return (
         "faulted",
@@ -126,8 +117,6 @@ def faulted_key(
         machine_fingerprint(npu),
         seed,
         plan,
-        time_offset_us,
-        initial_heat if initial_heat is None else tuple(initial_heat),
     )
 
 

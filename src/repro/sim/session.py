@@ -1,28 +1,27 @@
 """Resumable simulation sessions: one shared timeline, overlapping programs.
 
-The one-shot simulator (:func:`repro.sim.simulator.simulate`) runs a
-single program from t=0 until it drains.  A work-conserving serving
-runtime needs something richer: a program must be *injected* onto
-whichever core group just freed up, at an arbitrary point in simulated
-time, while programs admitted earlier keep running -- and all of them
-share the one contended resource, the bus to global memory.
+A work-conserving serving runtime must *inject* a program onto whichever
+core group just freed up, at an arbitrary point in simulated time, while
+programs admitted earlier keep running -- and all of them share the one
+contended resource, the bus to global memory.
 
-:class:`SimSession` is that substrate, and the event loop every faulted
-run uses (:func:`repro.faults.engine.simulate_faulted` is a
-one-injection session).  It keeps the flat struct-of-arrays state of
-the one-shot core -- per-(core, engine) in-order command queues, a
-reverse-dependency index, one time heap, the bus as parallel lists
-driven by the epoch kernels of :mod:`repro.sim.bus` -- and gives every
-injected program a contiguous range of *slots* in session-wide arrays
-(dependency counters, completion times, jittered delays, ...), so any
-number of programs can be in flight at once while the hot loop indexes
-plain lists.  Ranges are recycled as injections finish and reset when
-the session idles.  Fault hooks -- stall windows, DVFS heat, offline
-dooming, bus cancel -- sit behind checks a clean session skips.
+:class:`SimSession` is that substrate, and its event loop is the
+package's only one: the one-shot :func:`repro.sim.simulator.simulate`,
+clean or under a fault plan, is a one-injection session.  The loop keeps
+flat struct-of-arrays state -- per-(core, engine) in-order command
+queues, a reverse-dependency index, one time heap, the bus as parallel
+lists driven by the epoch kernels of :mod:`repro.sim.bus` -- and gives
+every injected program a contiguous range of *slots* in session-wide
+arrays (dependency counters, completion times, jittered delays, ...), so
+any number of programs can be in flight at once while the hot loop
+indexes plain lists.  Ranges are recycled as injections finish and
+reset when the session idles.  Fault hooks -- stall windows, DVFS heat,
+offline dooming, bus cancel -- sit behind checks a clean session skips.
 
 Reproducibility contract: a session that injects exactly one program
-per idle period replays the one-shot simulator bit-for-bit.  Two
-mechanisms make that exact rather than approximate:
+per idle period replays the one-shot simulator bit-for-bit, whatever
+the injection times.  Two mechanisms make that exact rather than
+approximate:
 
 * **frame reset** -- when a clean session is fully idle, the next
   injection restarts the local clock at zero and records the serving
@@ -37,11 +36,9 @@ mechanisms make that exact rather than approximate:
   splits a bus advance at the limit time, which barrier-equivalent
   callers never hit mid-wave (they run each wave to completion).
 
-The contract also lets a solo fresh-frame injection skip this loop: its
-outcome comes from :mod:`repro.sim.memo` on a hit and, when the caller
-runs it to completion, from the one-shot flat core on a miss, which
-costs less per command than the general loop (every clean gang wave of
-the serving loop runs that way).
+The contract also lets a solo fresh-frame injection skip this loop when
+:mod:`repro.sim.memo` holds its one-shot outcome; on a miss the loop
+runs and stores the outcome for the next time.
 
 Trace events of a finished injection are reported in frame-local cycles
 together with the frame origin, mirroring how the gang server consumes
@@ -59,14 +56,7 @@ from repro.hw.config import NPUConfig
 from repro.sim import memo as memo_mod
 from repro.sim.bus import advance_eta, force_min, refill_eta
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
-from repro.sim.simulator import (
-    _EPS,
-    SimResult,
-    _finished_columns,
-    _plan_for,
-    _SimPlan,
-    simulate,
-)
+from repro.sim.simulator import _EPS, SimResult, _finished_columns, _plan_for, _SimPlan
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -147,7 +137,6 @@ class _Injection:
     __slots__ = (
         "iid", "label", "meta", "program", "plan", "base", "total", "left",
         "num_doomed", "origin_us", "injected_at", "pqids", "solo", "memo_key",
-        "seed",
     )
 
     def __init__(
@@ -177,10 +166,10 @@ class _Injection:
         self.pqids: Tuple[int, ...] = ()
         #: True while this injection provably replays a one-shot
         #: ``simulate()`` bit-for-bit (solo in a fresh clean frame, no
-        #: partial bus advances); gates the memo fast path and store.
+        #: partial bus advances); gates the bracket check and the memo.
         self.solo = False
+        #: clean memo key, set for solo injections of a memo session
         self.memo_key: Optional[Tuple] = None
-        self.seed = 0
 
 
 class SimSession:
@@ -191,10 +180,10 @@ class SimSession:
     core-offline events are placed at their plan times, heat accumulates
     across injections and cools through idle gaps.  ``origin_us`` is the
     serving time of session cycle zero (fault times are relative to it)
-    and ``initial_heat`` the per-core heat carried in; both serve
-    one-shot callers that place a run on a longer serving clock.  A
-    clean session keeps every fault structure empty, so the hot loop
-    runs the exact arithmetic of the clean simulator.
+    and ``initial_heat`` the per-core heat carried in; both let a caller
+    place a fresh faulted session on a longer serving clock, as gang
+    serving does for each wave.  A clean session keeps every fault
+    structure empty, so the hot loop skips the fault hooks.
     """
 
     def __init__(
@@ -215,9 +204,9 @@ class SimSession:
             )
         #: Assert solo fresh-frame injections (the case that replays a
         #: one-shot ``simulate()`` bit-for-bit) against their static
-        #: latency bracket (:mod:`repro.verify.bounds`).  Overlapping
-        #: injections contend for cores and the bus, so per-program
-        #: brackets do not apply there.
+        #: latency bracket (:mod:`repro.verify.bounds`), with or without
+        #: a memo.  Overlapping injections contend for cores and the
+        #: bus, so per-program brackets do not apply there.
         self.check_bounds = check_bounds
         if memo is USE_DEFAULT_MEMO:
             memo = memo_mod.default_memo()
@@ -376,10 +365,9 @@ class SimSession:
                 f"program targets {program.num_cores} cores, "
                 f"machine has {npu.num_cores}"
             )
-        solo = False
-        if self.faults is None and not self._active:
+        solo = self.faults is None and not self._active
+        if solo:
             self._reset_frame(at_us)
-            solo = self.memo is not None
         else:
             target = npu.us_to_cycles(at_us - self.origin_us)
             if target < self.clock - 1e-6:
@@ -412,9 +400,9 @@ class SimSession:
         inj = _Injection(iid, label, meta, program, plan, base, self.origin_us, self.clock)
         if solo:
             inj.solo = True
-            inj.seed = seed
-            inj.memo_key = memo_mod.clean_key(program, npu, seed)
-            self._fast_iid = iid
+            if self.memo is not None:
+                inj.memo_key = memo_mod.clean_key(program, npu, seed)
+                self._fast_iid = iid
         self._active[iid] = inj
 
         # Map plan queues onto session queues by (core, engine) and
@@ -681,12 +669,9 @@ class SimSession:
 
         Only fires in the state the reproducibility contract covers:
         clean session, exactly one injection, frame clock at zero,
-        nothing started yet (empty heap and bus), and no limit short of
-        the makespan.  A memoized result is delivered as the shared memo
-        object; on a miss with no limit, the one-shot flat core runs the
-        program (cheaper per command than this loop) and its result is
-        stored as the loop would have stored it.  Either way the outcome
-        is identical to what the loop would have produced.
+        nothing started yet (empty heap and bus), a memoized result, and
+        no limit short of its makespan.  The result is delivered as the
+        shared memo object, identical to what the loop would produce.
         """
         iid = self._fast_iid
         if iid is None or self.memo is None:
@@ -703,12 +688,7 @@ class SimSession:
         ):
             return False
         result = self.memo.get(inj.memo_key)
-        if result is None:
-            if limit is not None:
-                return False
-            result = simulate(inj.program, self.npu, seed=inj.seed, memo=None)
-            self.memo.put(inj.memo_key, result)
-        elif limit is not None and limit < result.makespan_cycles:
+        if result is None or (limit is not None and limit < result.makespan_cycles):
             return False
         if self.check_bounds:
             from repro.verify.bounds import bounds_for
@@ -735,11 +715,11 @@ class SimSession:
         """The event loop: run to ``limit`` (session cycles), to the first
         completion (``stop_on_completion``), or until nothing is left.
 
-        Same epoch structure as the one-shot core: start every startable
-        queue head, take the next heap or bus event, advance the bus to
-        it, retire completions and every heap event inside the epsilon
-        window.  The start-time fault hooks (dead cores, stall windows)
-        run only once the plan has one to apply.
+        Each epoch: start every startable queue head, take the next heap
+        or bus event, advance the bus to it, retire completions and
+        every heap event inside the epsilon window.  The start-time
+        fault hooks (dead cores, stall windows) run only once the plan
+        has one to apply.
         """
         if self._try_fast_path(limit):
             if limit is not None and self.clock < limit and not stop_on_completion:
@@ -930,7 +910,7 @@ class SimSession:
                     break
                 if heap:
                     # Retire every heap event inside this epoch's epsilon
-                    # window (one peek per pop, as in the one-shot core).
+                    # window (one peek per pop).
                     threshold = clock + _EPS
                     h0 = heap[0]
                     while h0[0] <= threshold:

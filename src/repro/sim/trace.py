@@ -159,10 +159,10 @@ class Trace:
 
     Construct either from an eager event list (``Trace(events)``, the
     reference cores and tests) or from a columnar payload
-    (``Trace(columns=...)``, the flat core, sessions and the fault
-    engine).  ``columns`` may be a zero-arg callable, in which case even
-    the column derivation is deferred until the trace is first read --
-    cold simulation then returns without touching trace assembly.
+    (``Trace(columns=...)``, the session event loop).  ``columns`` may
+    be a zero-arg callable, in which case even the column derivation is
+    deferred until the trace is first read -- cold simulation then
+    returns without touching trace assembly.
     """
 
     __slots__ = ("_events", "_cols", "_col_cache", "_indices", "index_builds")

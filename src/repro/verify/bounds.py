@@ -362,6 +362,6 @@ def check_bounds_pass(
                 f"{report.upper_bound_cycles:,.1f}]",
                 severity=Severity.ERROR,
                 hint="scheduler or bounds regression; bisect the simulator "
-                "against repro.sim.event_core",
+                "against the reference cores in tests/sim/",
             )
     return result

@@ -12,9 +12,8 @@ import pytest
 
 from repro.compiler.program import CommandKind, ProgramBuilder
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
-from repro.faults.engine import simulate_faulted
 from repro.hw import CoreConfig, NPUConfig
-from repro.sim import simulate
+from repro.sim import SimSession, simulate
 
 
 def machine(cores: int = 1, **core_kw) -> NPUConfig:
@@ -68,13 +67,16 @@ class TestCleanEquivalence:
         assert trace_tuples(clean) == trace_tuples(empty)
 
     def test_fault_loop_matches_clean_loop_without_faults(self):
-        """The sibling event loop reproduces clean timings exactly."""
+        """Armed fault hooks that never fire reproduce clean timings
+        exactly (the core dies long after the 750-cycle run)."""
         npu = machine(2)
         program = compute_program(2, per_core=3)
         clean = simulate(program, npu, seed=5)
-        faulted = simulate_faulted(program, npu, seed=5, plan=FaultPlan())
+        plan = FaultPlan(events=(CoreOffline(core=0, at_us=10_000.0),))
+        faulted = simulate(program, npu, seed=5, faults=plan)
         assert trace_tuples(clean) == trace_tuples(faulted)
         assert faulted.makespan_cycles == clean.makespan_cycles
+        assert faulted.faults.dead_cores == ()
 
     def test_deterministic_under_faults(self):
         npu = machine(2)
@@ -178,10 +180,10 @@ class TestThrottling:
             throttle_threshold=50.0,
         )
         plan = FaultPlan(events=(ThermalThrottle(),))
-        hot = simulate_faulted(
-            compute_program(), npu, plan=plan, initial_heat=(60.0,)
-        )
-        assert hot.makespan_cycles == pytest.approx(500.0)  # 250 / 0.5
+        session = SimSession(npu, faults=plan, memo=None, initial_heat=(60.0,))
+        session.inject(compute_program(), at_us=0.0)
+        (hot,) = session.run_until()
+        assert hot.completed_at_cycles == pytest.approx(500.0)  # 250 / 0.5
 
 
 class TestCoreOffline:
@@ -249,7 +251,11 @@ class TestCoreOffline:
         npu = machine(2)
         program = compute_program(2)
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=500.0),))
-        late = simulate_faulted(program, npu, plan=plan, time_offset_us=1000.0)
-        assert late.faults.dead_cores == (0,)
-        early = simulate_faulted(program, npu, plan=plan, time_offset_us=0.0)
-        assert early.faults.abandoned_cids == ()
+        late = SimSession(npu, faults=plan, memo=None, origin_us=1000.0)
+        late.inject(program, at_us=1000.0)
+        late.run_until()
+        assert late.alive_cores() == (1,)
+        early = SimSession(npu, faults=plan, memo=None, origin_us=0.0)
+        early.inject(program, at_us=0.0)
+        (out,) = early.run_until()
+        assert out.abandoned_cids == ()

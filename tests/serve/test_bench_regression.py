@@ -10,8 +10,7 @@ the summaries against the committed ``BENCH_serving.json``:
   gang-vs-continuous comparison -- the regression gate for the
   shared-timeline serving engine;
 * seed 0 of ``BENCH_faults.json`` re-serves the clean and core-failure
-  runs -- the gate for degraded gang serving through
-  ``simulate_faulted``;
+  runs -- the gate for degraded gang serving on fault-armed sessions;
 * seed 0's least-loaded router of ``BENCH_fleet.json`` re-runs one
   fleet -- the gate for overlapping continuous sessions.
 """

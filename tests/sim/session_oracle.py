@@ -1,13 +1,12 @@
 """Test-only oracles: the object-bus session and fault loops.
 
 These are the :class:`~repro.sim.session.SimSession` event loop and the
-one-shot :func:`~repro.faults.engine.simulate_faulted` loop as they
-stood before both were rebuilt on the flat-array core: per-object
-:class:`~repro.sim.bus.FluidBus` transfers, ``(injection id, command
-id)`` tuples as heap and bus keys, and readiness fields computed inside
-the loop.  They exist only to pin the rebuilt loop bit-for-bit
-(``tests/sim/test_session_oracle.py``), the way
-:mod:`repro.sim.event_core` pins the flat one-shot core.  The memo fast
+one-shot fault loop as they stood before both were rebuilt on the
+flat-array core: per-object :class:`~tests.sim.fluid_bus.FluidBus`
+transfers, ``(injection id, command id)`` tuples as heap and bus keys,
+and readiness fields computed inside the loop.  They exist only to pin
+the rebuilt loop bit-for-bit (``tests/sim/test_session_oracle.py``),
+the way :mod:`tests.sim.event_core` pins one-shot clean runs.  The memo fast
 path and the static-bracket check are left out: they bypass or observe
 the loop rather than being part of it.
 
@@ -23,10 +22,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.compiler.program import CommandKind, Engine, Program
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.hw.config import NPUConfig
-from repro.sim.bus import FluidBus
 from repro.sim.session import InjectionOutcome
 from repro.sim.simulator import _EPS, _END, _JOIN_BUS, SimResult, _plan_for, _SimPlan
 from repro.sim.trace import Trace, TraceColumns
+
+from tests.sim.fluid_bus import FluidBus
 
 #: heap event kinds beyond the plan's command kinds (_END, _JOIN_BUS)
 _WAKE = 2

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.bus import FluidBus
+from tests.sim.fluid_bus import FluidBus
 
 
 class TestRates:

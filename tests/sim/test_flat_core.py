@@ -1,13 +1,13 @@
-"""The flat struct-of-arrays core is bit-identical to the event-driven core.
+"""The flat struct-of-arrays event loop is bit-identical to the event-driven core.
 
 ``tests/sim/test_scheduler_equivalence.py`` pins the retained
 queue-scanning reference; this file pins the *previous* event-driven
-generation (:func:`repro.sim.simulate_event_driven`, object-based bus,
-eager water-filling, in-loop readiness bookkeeping) against the flat
-core now living in :mod:`repro.sim.simulator` -- clean and faulted,
-one-shot and through :class:`~repro.sim.SimSession`.  All comparisons
-run with ``memo=None`` where applicable so the event loop itself is
-exercised, not a cached result.
+generation (:func:`tests.sim.event_core.simulate_event_driven`,
+object-based bus, eager water-filling, in-loop readiness bookkeeping)
+against :func:`repro.sim.simulate`, a one-injection
+:class:`~repro.sim.SimSession` run -- plus faulted determinism and the
+memo fast path.  All comparisons run with ``memo=None`` where applicable
+so the event loop itself is exercised, not a cached result.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from hypothesis import given, settings
 
 from repro.compiler import CompileOptions
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
-from repro.faults.engine import simulate_faulted
 from repro.models import ZOO
-from repro.sim import SimSession, simulate, simulate_event_driven
+from repro.sim import SimSession, simulate
 
+from tests.sim.event_core import simulate_event_driven
 from tests.sim.test_scheduler_equivalence import (
     CONFIGS,
     SEEDS,
@@ -55,8 +55,8 @@ def test_random_programs_bit_identical(prog_cores):
 
 
 class TestFaulted:
-    """The fault engine now draws jitter from the shared per-plan table;
-    pin that faulted runs are deterministic and unchanged by memoization."""
+    """Faulted runs draw jitter from the shared per-plan table; pin that
+    they are deterministic and unchanged by memoization."""
 
     PLAN = FaultPlan(
         events=(
@@ -72,8 +72,8 @@ class TestFaulted:
 
     def test_faulted_runs_deterministic(self):
         program, machine = self._machine_and_program()
-        a = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=None)
-        b = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=None)
+        a = simulate(program, machine, seed=1, faults=self.PLAN, memo=None)
+        b = simulate(program, machine, seed=1, faults=self.PLAN, memo=None)
         assert_traces_identical(a, b)
         assert a.faults is not None and b.faults is not None
         assert a.faults == b.faults
@@ -82,35 +82,20 @@ class TestFaulted:
         from repro.sim.memo import SimMemo
 
         program, machine = self._machine_and_program()
-        fresh = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=None)
+        fresh = simulate(program, machine, seed=1, faults=self.PLAN, memo=None)
         memo = SimMemo(store_on_first_miss=True)
-        first = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=memo)
-        second = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=memo)
+        first = simulate(program, machine, seed=1, faults=self.PLAN, memo=memo)
+        second = simulate(program, machine, seed=1, faults=self.PLAN, memo=memo)
         assert second is first  # cache hit returns the shared object
         assert_traces_identical(first, fresh)
 
-    def test_faulted_routes_through_simulate(self):
-        program, machine = self._machine_and_program()
-        via_simulate = simulate(program, machine, seed=1, faults=self.PLAN, memo=None)
-        direct = simulate_faulted(program, machine, seed=1, plan=self.PLAN, memo=None)
-        assert_traces_identical(via_simulate, direct)
-
 
 class TestSession:
-    """Session solo replay pins the flat one-shot core, with and without
-    the memo fast path in play."""
+    """The memo fast path of a solo session injection delivers the
+    event loop's exact outcome."""
 
     def _events(self, trace):
         return [dataclasses.astuple(e) for e in trace.events]
-
-    def test_solo_injection_replays_flat_core(self):
-        program, machine = _program_for("MobileNetV2", CompileOptions.base())
-        ref = simulate(program, machine, seed=2, memo=None)
-        session = SimSession(machine, memo=None)
-        session.inject(program, at_us=0.0, seed=2)
-        (out,) = session.run_until()
-        assert out.completed_at_cycles == ref.makespan_cycles
-        assert self._events(out.trace) == self._events(ref.trace)
 
     def test_fast_path_outcome_bit_identical_to_loop(self):
         """A second solo injection of the same (program, seed) is served
@@ -122,8 +107,7 @@ class TestSession:
         memo = SimMemo(store_on_first_miss=True)
         session = SimSession(machine, memo=memo)
         session.inject(program, at_us=0.0, seed=2)
-        # A limit keeps a memo miss in the event loop.
-        (first,) = session.run_until(until_us=1e12)
+        (first,) = session.run_until()
         assert memo.hits == 0  # the first run populated the cache
 
         session.inject(program, at_us=9000.5, seed=2)
@@ -132,38 +116,3 @@ class TestSession:
         assert second.completed_at_cycles == first.completed_at_cycles
         assert self._events(second.trace) == self._events(first.trace)
         assert second.origin_us == 9000.5
-
-    def test_miss_run_to_completion_takes_flat_core(self, monkeypatch):
-        """On a memo miss, a solo injection run to completion goes
-        through the one-shot flat core (cheaper per command than the
-        session loop) with the loop's exact outcome; a limit short of
-        completion keeps it in the loop."""
-        from repro.sim import simulator
-        from repro.sim.memo import SimMemo
-
-        program, machine = _program_for("MobileNetV2", CompileOptions.base())
-        loop = SimSession(machine, memo=None)
-        loop.inject(program, at_us=50.0, seed=2)
-        (ref,) = loop.run_until()
-
-        flat_runs = []
-        run_flat = simulator._run_flat
-
-        def counting(*args):
-            flat_runs.append(args)
-            return run_flat(*args)
-
-        monkeypatch.setattr(simulator, "_run_flat", counting)
-        memo = SimMemo(store_on_first_miss=True)
-        session = SimSession(machine, memo=memo)
-        session.inject(program, at_us=50.0, seed=2)
-        (out,) = session.run_until()
-        assert len(flat_runs) == 1 and len(memo) == 1
-        assert out.completed_at_cycles == ref.completed_at_cycles
-        assert self._events(out.trace) == self._events(ref.trace)
-        assert session.now_us == loop.now_us
-
-        limited = SimSession(machine, memo=SimMemo(store_on_first_miss=True))
-        limited.inject(program, at_us=0.0, seed=2)
-        assert limited.run_until(until_us=1.0) == []
-        assert len(flat_runs) == 1

@@ -77,13 +77,6 @@ class TestFingerprints:
         plan = FaultPlan()
         assert clean_key(program, npu, 0) != faulted_key(program, npu, 0, plan)
 
-    def test_faulted_key_separates_carryover_state(self, npu):
-        program = chain_program()
-        plan = FaultPlan(events=(ThermalThrottle(cores=(0,)),))
-        base = faulted_key(program, npu, 0, plan)
-        assert base != faulted_key(program, npu, 0, plan, time_offset_us=5.0)
-        assert base != faulted_key(program, npu, 0, plan, initial_heat=(1.0, 0.0, 0.0))
-
 
 class TestSimMemoAccounting:
     def _result(self):

@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.simulator` promises the exact same ``TraceEvent`` stream
 as the retained queue-scanning reference in
-:mod:`repro.sim.reference_scheduler` for equal seeds -- not just equal
+:mod:`tests.sim.reference_scheduler` for equal seeds -- not just equal
 makespans.  These tests pin that down across the full model zoo, the
 four paper configurations, three seeds, and hypothesis-generated random
 programs on a jitter-bearing machine.
@@ -19,7 +19,9 @@ from repro.compiler import CompileOptions, compile_cached
 from repro.compiler.program import CommandKind, ProgramBuilder
 from repro.hw import CoreConfig, NPUConfig, exynos2100_like
 from repro.models import ZOO
-from repro.sim import simulate, simulate_reference
+from repro.sim import simulate
+
+from tests.sim.reference_scheduler import simulate_reference
 
 SEEDS = (0, 1, 2)
 CONFIGS = (

@@ -7,7 +7,6 @@ import pytest
 from repro.compiler import CompileOptions, compile_model
 from repro.compiler.program import Program
 from repro.faults import CoreOffline, FaultPlan
-from repro.faults.engine import simulate_faulted
 from repro.hw import tiny_test_machine
 from repro.sim import SimSession, merge_programs, simulate, sub_machine
 from repro.sim.session import InjectionOutcome
@@ -186,7 +185,7 @@ class TestEmptyInjection:
     def test_one_shot_paths_report_zero(self, npu):
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=5),))
         assert simulate(self.EMPTY, npu, memo=None).makespan_cycles == 0
-        faulted = simulate_faulted(self.EMPTY, npu, plan=plan, memo=None)
+        faulted = simulate(self.EMPTY, npu, faults=plan, memo=None)
         assert faulted.makespan_cycles == 0
         assert faulted.faults.dead_cores == ()
 

@@ -9,9 +9,9 @@ Three contracts pinned here:
 * field queries (``for_core``/``for_layer``/``of_kind``) build their
   per-column index once -- repeated queries must not re-scan;
 * the numpy bus kernels (``refill_rates_wide``/``advance_wide``/
-  ``eta_wide``) and the ``_VECTOR_MIN`` switchover in both the flat
-  core and :class:`~repro.sim.bus.FluidBus` are bit-identical to the
-  scalar paths, clean and faulted (stall windows interact with bus
+  ``eta_wide``) and the ``_VECTOR_MIN`` switchover in both the event
+  loop and :class:`~tests.sim.fluid_bus.FluidBus` are bit-identical to
+  the scalar paths, clean and faulted (stall windows interact with bus
   integration), on uniform and heterogeneous DMA link caps.
 """
 
@@ -26,13 +26,14 @@ from hypothesis import given, settings
 from repro.compiler import CompileOptions
 from repro.compiler.program import CommandKind, ProgramBuilder
 from repro.faults import FaultPlan, ThermalThrottle, TransientStall
-from repro.faults.engine import simulate_faulted
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import bus as bus_mod
-from repro.sim import simulate, simulate_event_driven
-from repro.sim.bus import FluidBus, advance_wide, eta_wide, refill_rates_wide
+from repro.sim import simulate
+from repro.sim.bus import advance_wide, eta_wide, refill_rates_wide
 from repro.sim.trace import Trace
 
+from tests.sim.event_core import simulate_event_driven
+from tests.sim.fluid_bus import FluidBus
 from tests.sim.test_scheduler_equivalence import (
     _jittery_machine,
     _program_for,
@@ -267,8 +268,8 @@ class TestVectorMinSwitchover:
         assert_traces_identical(forced, baseline)
 
     def test_faulted_equivalence_with_forced_vector_paths(self, monkeypatch):
-        """Stall windows interact with bus integration: the fault engine
-        (the session loop) must be unchanged by the wide-path switchover."""
+        """Stall windows interact with bus integration: a faulted run
+        must be unchanged by the wide-path switchover."""
         plan = FaultPlan(
             events=(
                 TransientStall(start_us=10.0, duration_us=200.0, core=0),
@@ -276,8 +277,8 @@ class TestVectorMinSwitchover:
             )
         )
         program, machine = _program_for("InceptionV3", CompileOptions.stratum_config())
-        baseline = simulate_faulted(program, machine, seed=2, plan=plan, memo=None)
+        baseline = simulate(program, machine, seed=2, faults=plan, memo=None)
         monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 2)
-        forced = simulate_faulted(program, machine, seed=2, plan=plan, memo=None)
+        forced = simulate(program, machine, seed=2, faults=plan, memo=None)
         assert_traces_identical(forced, baseline)
         assert forced.faults == baseline.faults

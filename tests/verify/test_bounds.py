@@ -2,8 +2,9 @@
 
 The bracket's whole value is the *sound* claim lb <= makespan <= ub for
 every seed; these tests pin it over the zoo x the four paper
-configurations x three seeds -- against both the flat-array production
-core and the retained object-based event core -- plus hypothesis-random
+configurations x three seeds -- against both the production event loop
+and the retained object-based event core (``tests/sim/event_core.py``)
+-- plus hypothesis-random
 programs on a jitter-bearing machine, where schedule shapes the compiler
 would never emit get a vote.  Tightness (sim/lb) is additionally pinned
 per zoo model so the lower bound cannot silently rot into a uselessly
@@ -21,11 +22,12 @@ from repro.compiler import CompileOptions, compile_model
 from repro.compiler.program import CommandKind, ProgramBuilder
 from repro.hw import exynos2100_like, tiny_test_machine
 from repro.models import ZOO
-from repro.sim import SimSession, simulate, simulate_event_driven
+from repro.sim import SimSession, simulate
 from repro.verify import BoundsViolation, bounds_for, compute_bounds
 from repro.verify.bounds import check_bounds_pass
 
 from tests.conftest import make_mixed_graph
+from tests.sim.event_core import simulate_event_driven
 from tests.sim.test_scheduler_equivalence import (
     CONFIGS,
     SEEDS,
@@ -213,18 +215,30 @@ def test_session_check_bounds_rejects_faults():
         SimSession(tiny_test_machine(2), faults=plan, check_bounds=True)
 
 
-def test_session_check_bounds_event_loop_and_fast_path(compiled_mixed):
+def test_session_check_bounds_event_loop_and_fast_path(compiled_mixed, monkeypatch):
+    from repro.verify import bounds as bounds_mod
+
     program, npu = compiled_mixed.program, compiled_mixed.npu
-    # memo=None forces the event loop through _finish_injection...
+    checked = []
+    real_bounds_for = bounds_mod.bounds_for
+
+    def counting_bounds_for(*args):
+        checked.append(args)
+        return real_bounds_for(*args)
+
+    monkeypatch.setattr(bounds_mod, "bounds_for", counting_bounds_for)
+    # memo=None forces the event loop through _finish...
     s = SimSession(npu, memo=None, check_bounds=True)
     s.inject(program, 0.0, seed=0)
     out = s.run_until(stop_on_completion=False)
     assert len(out) == 1
+    assert len(checked) == 1
     # ...and the default memo (warmed by the simulate() calls above)
     # exercises the fast-path delivery check.
     s2 = SimSession(npu, check_bounds=True)
     s2.inject(program, 0.0, seed=0)
     out2 = s2.run_until(stop_on_completion=False)
+    assert len(checked) == 2
     assert out2[0].completed_at_cycles == pytest.approx(
         out[0].completed_at_cycles
     )
