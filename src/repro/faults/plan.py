@@ -9,6 +9,7 @@ hashable, comparable, and safely shareable across waves and policies.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import List, Optional, Tuple, Union
 
@@ -51,10 +52,12 @@ class TransientStall:
     core: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.start_us < 0:
-            raise ValueError("stall start must be >= 0")
-        if self.duration_us <= 0:
-            raise ValueError("stall duration must be positive")
+        if not (math.isfinite(self.start_us) and self.start_us >= 0):
+            raise ValueError(f"stall start must be finite and >= 0, got {self.start_us}")
+        if not (math.isfinite(self.duration_us) and self.duration_us > 0):
+            raise ValueError(
+                f"stall duration must be finite and positive, got {self.duration_us}"
+            )
 
     @property
     def end_us(self) -> float:
@@ -78,8 +81,8 @@ class CoreOffline:
     def __post_init__(self) -> None:
         if self.core < 0:
             raise ValueError("core index must be >= 0")
-        if self.at_us < 0:
-            raise ValueError("offline time must be >= 0")
+        if not (math.isfinite(self.at_us) and self.at_us >= 0):
+            raise ValueError(f"offline time must be finite and >= 0, got {self.at_us}")
 
 
 FaultEvent = Union[ThermalThrottle, TransientStall, CoreOffline]
@@ -89,9 +92,9 @@ FaultEvent = Union[ThermalThrottle, TransientStall, CoreOffline]
 class FaultPlan:
     """A deterministic set of faults to inject into one simulation.
 
-    An empty plan (the default) is a strict no-op: ``simulate`` routes
-    it to the untouched clean scheduler, so traces are bit-identical to
-    a run without any plan at all.
+    An empty plan (the default) is a strict no-op: ``simulate`` treats
+    it as no plan, so traces are bit-identical to a run without any plan
+    at all.
     """
 
     events: Tuple[FaultEvent, ...] = ()

@@ -13,6 +13,7 @@ converts simulated cycles into microseconds for reporting.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Tuple
 
 
@@ -58,6 +59,13 @@ class CoreConfig:
     throttle_threshold: float = 150_000.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "macs_per_cycle", "dma_bytes_per_cycle", "spm_bytes",
+            "compute_efficiency", "heat_per_busy_cycle", "cool_per_cycle",
+            "throttle_threshold",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.macs_per_cycle <= 0:
             raise ValueError("macs_per_cycle must be positive")
         if self.dma_bytes_per_cycle <= 0:
@@ -130,10 +138,21 @@ class NPUConfig:
     def __post_init__(self) -> None:
         if not self.cores:
             raise ValueError("NPU needs at least one core")
-        if self.bus_bytes_per_cycle <= 0:
-            raise ValueError("bus bandwidth must be positive")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
+        if not (math.isfinite(self.bus_bytes_per_cycle) and self.bus_bytes_per_cycle > 0):
+            raise ValueError(
+                f"bus bandwidth must be finite and positive, got {self.bus_bytes_per_cycle}"
+            )
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValueError(
+                f"frequency must be finite and positive, got {self.frequency_ghz}"
+            )
+        for name in (
+            "sync_base_cycles", "sync_per_core_cycles", "halo_exchange_base_cycles",
+            "dram_latency_cycles", "sync_jitter_cycles", "halo_jitter_cycles",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def num_cores(self) -> int:

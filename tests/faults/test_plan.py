@@ -28,6 +28,15 @@ class TestModels:
         with pytest.raises(ValueError):
             CoreOffline(core=0, at_us=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            CoreOffline(core=0, at_us=value)
+        with pytest.raises(ValueError, match="finite"):
+            TransientStall(start_us=value, duration_us=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            TransientStall(start_us=0.0, duration_us=value)
+
     def test_throttle_applies_to(self):
         assert ThermalThrottle().applies_to(5)
         t = ThermalThrottle(cores=(1,))
@@ -141,6 +150,10 @@ class TestSpecParsing:
             "stall:bus@oops+10us",  # bad time
             "throttle:x",  # bad core
             "meteor@50%",  # unknown kind
+            "core_offline@nan%",  # non-finite time
+            "core_offline@infus",
+            "stall@10%+nan",
+            "stall@nan+5us",
         ],
     )
     def test_rejects_bad_specs(self, bad):

@@ -33,6 +33,12 @@ class TestCoreConfig:
             ("spatial_alignment", -1),
             ("compute_efficiency", 0.0),
             ("compute_efficiency", 1.5),
+            ("dma_bytes_per_cycle", float("nan")),
+            ("dma_bytes_per_cycle", float("inf")),
+            ("heat_per_busy_cycle", float("nan")),
+            ("cool_per_cycle", float("inf")),
+            ("throttle_threshold", float("nan")),
+            ("throttle_threshold", float("inf")),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -44,6 +50,26 @@ class TestNPUConfig:
     def test_needs_cores(self):
         with pytest.raises(ValueError):
             NPUConfig(name="n", cores=(), bus_bytes_per_cycle=8.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("bus_bytes_per_cycle", float("nan")),
+            ("bus_bytes_per_cycle", float("inf")),
+            ("frequency_ghz", float("nan")),
+            ("frequency_ghz", float("inf")),
+            ("sync_base_cycles", -1),
+            ("sync_per_core_cycles", -1),
+            ("halo_exchange_base_cycles", -1),
+            ("dram_latency_cycles", -500),
+            ("sync_jitter_cycles", -1),
+            ("halo_jitter_cycles", -1),
+            ("dram_latency_cycles", float("nan")),
+        ],
+    )
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            dataclasses.replace(tiny_test_machine(2), **{field: value})
 
     def test_cycles_us_roundtrip(self):
         npu = tiny_test_machine(2)

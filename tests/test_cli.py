@@ -104,6 +104,26 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "stem", "--machine", "nope.json"])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dram_latency_cycles", -500),
+            ("bus_bytes_per_cycle", float("nan")),
+            ("frequency_ghz", float("inf")),
+        ],
+    )
+    def test_malformed_machine_json_stops_with_message(self, tmp_path, field, value):
+        from repro.hw import tiny_test_machine
+        from repro.hw.serialize import machine_to_dict
+
+        doc = machine_to_dict(tiny_test_machine(2))
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "stem", "--machine", str(path), "--config", "base"])
+        assert field.split("_")[0] in str(exc.value)
+
 
 class TestAudit:
     def test_audit_clean(self, capsys):
@@ -326,6 +346,11 @@ class TestServe:
     def test_bad_fault_spec(self):
         with pytest.raises(SystemExit):
             main(["serve", "--duration-short", "--faults", "meteor@50%"])
+
+    def test_non_finite_fault_time_stops_with_message(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--duration-short", "--faults", "core_offline@nan%"])
+        assert "offline time must be finite" in str(exc.value)
 
     @pytest.mark.parametrize(
         "cmd, flags",
