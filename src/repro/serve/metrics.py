@@ -204,7 +204,8 @@ class ServeReport:
     throughput_rps: float
     #: busy fraction per core over the serving makespan.
     utilization: Tuple[float, ...]
-    #: distinct merged programs built (each one verifier-clean).
+    #: distinct wave shapes run -- ((model, cores), ...) -- each one of
+    #: verifier-clean placed programs.
     verified_programs: int
     results: Tuple[RequestResult, ...] = dataclasses.field(repr=False)
     #: degradation section; ``None`` on clean (fault-free) runs.

@@ -8,7 +8,7 @@ start together on disjoint core groups.  Three policies ship:
 * ``sjf`` -- shortest job first by the program cache's predicted
   latency, still whole-machine (reorders the queue, same packing);
 * ``dynamic`` -- packs queued requests onto disjoint core groups sized
-  by predicted work, choosing the wave width whose *measured* merged
+  by predicted work, choosing the wave width whose *measured* wave
   latency serves the most requests per microsecond (parallel scaling
   across cores is sublinear, so under backlog narrower groups serve the
   queue faster -- unless bus contention eats the win, which the
@@ -189,11 +189,15 @@ class DynamicPolicy(SchedulingPolicy):
     max_width)``, the oldest ``w`` requests get contiguous disjoint core
     groups sized longest-processing-time first (every request one core,
     each spare core to the request with the most remaining per-core
-    work), and the candidate wave's latency is *measured* by simulating
-    its merged program (memoized per wave shape in the predictor -- this
-    is what prices cross-group bus contention, which isolated estimates
-    miss).  The width that maximizes requests served per microsecond
-    wins; ties go to the narrower wave.
+    work), and the candidate wave's latency is *measured* by injecting
+    its requests' placed programs into one session at one instant
+    (:meth:`~repro.serve.predictor.LatencyPredictor.wave_latency_us`,
+    memoized per wave shape -- this is what prices cross-group bus
+    contention, which isolated estimates miss).  A candidate whose
+    analytic floor (:meth:`~repro.serve.predictor.LatencyPredictor.wave_floor_us`)
+    already caps its throughput at the incumbent's is skipped unmeasured.
+    The width that maximizes requests served per microsecond wins; ties
+    go to the narrower wave.
 
     With a reduced ``cores`` set (degraded mode) the groups are
     contiguous runs of the *surviving* core list, so e.g. losing core 1
@@ -231,7 +235,7 @@ class DynamicPolicy(SchedulingPolicy):
             # to (or only ties) the incumbent, the measured wave cannot
             # win -- the winner update below is strictly ``>`` -- so the
             # simulation is skipped without changing any decision.
-            lb_us = predictor.wave_bound_us(pattern)[0]
+            lb_us = predictor.wave_floor_us(pattern)
             if lb_us > 0.0 and width / lb_us <= best_throughput:
                 continue
             wave_us = predictor.wave_latency_us(pattern)

@@ -6,10 +6,10 @@ from repro.sim.multitenant import (
     auto_assign,
     Tenant,
     TenantResult,
-    merge_programs,
+    inject_wave,
+    place_program,
     run_concurrent,
     sub_machine,
-    tenant_spans,
 )
 from repro.sim.memo import (
     SimMemo,
@@ -19,7 +19,7 @@ from repro.sim.memo import (
 )
 from repro.sim.session import InjectionOutcome, SimSession
 from repro.sim.simulator import SimResult, simulate
-from repro.sim.throughput import ThroughputResult, measure_throughput, repeat_program
+from repro.sim.throughput import ThroughputResult, measure_throughput
 from repro.sim.stats import (
     CoreStats,
     RunStats,
@@ -40,8 +40,8 @@ __all__ = [
     "TenantResult",
     "ThroughputResult",
     "measure_throughput",
-    "repeat_program",
-    "merge_programs",
+    "inject_wave",
+    "place_program",
     "run_concurrent",
     "sub_machine",
     "InjectionOutcome",
@@ -57,5 +57,4 @@ __all__ = [
     "machine_fingerprint",
     "program_fingerprint",
     "simulate",
-    "tenant_spans",
 ]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.hw.serialize import machine_to_dict
 
@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.compiler.program import Program
     from repro.faults.plan import FaultPlan
     from repro.hw.config import NPUConfig
-    from repro.sim.simulator import SimResult
 
 #: attribute under which a program caches its own fingerprint
 _FP_ATTR = "_sim_fingerprint"
@@ -102,6 +101,11 @@ def clean_key(program: "Program", npu: "NPUConfig", seed: int) -> Tuple:
     return ("clean", program_fingerprint(program), machine_fingerprint(npu), seed)
 
 
+def wave_key(programs: "Sequence[Program]", npu: "NPUConfig", seed: int) -> Tuple:
+    """Memo key for the makespan of a wave of programs, in slot order."""
+    return ("wave", tuple(map(program_fingerprint, programs)), machine_fingerprint(npu), seed)
+
+
 def faulted_key(
     program: "Program", npu: "NPUConfig", seed: int, plan: "FaultPlan"
 ) -> Tuple:
@@ -121,7 +125,8 @@ def faulted_key(
 
 
 class SimMemo:
-    """Bounded LRU cache of :class:`SimResult` objects.
+    """Bounded LRU cache of :class:`SimResult` objects (and, under
+    :func:`wave_key`, of wave makespans in cycles).
 
     ``max_entries`` bounds stored results (least-recently-used entries
     are evicted); hit/miss counters make cache behavior observable for
@@ -135,7 +140,7 @@ class SimMemo:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.store_on_first_miss = store_on_first_miss
-        self._data: Dict[Tuple, "SimResult"] = {}
+        self._data: Dict[Tuple, Any] = {}
         self._seen: Dict[Tuple, None] = {}
         self.hits = 0
         self.misses = 0
@@ -143,7 +148,7 @@ class SimMemo:
     def __len__(self) -> int:
         return len(self._data)
 
-    def get(self, key: Tuple) -> Optional["SimResult"]:
+    def get(self, key: Tuple) -> Any:
         """Look up a result, counting the hit or miss."""
         result = self._data.get(key)
         if result is not None:
@@ -155,7 +160,7 @@ class SimMemo:
         self.misses += 1
         return None
 
-    def put(self, key: Tuple, result: "SimResult") -> None:
+    def put(self, key: Tuple, result: Any) -> None:
         """Store a result, unless this key is on its first miss and the
         memo is in store-on-second-miss mode."""
         if not self.store_on_first_miss and key not in self._seen:

@@ -8,9 +8,11 @@ implements that use case on top of the existing compiler and simulator:
 * each *tenant* (network) is compiled against a sub-machine made of its
   assigned cores -- all partitioning, scheduling, halo and stratum
   machinery applies within the group, and barriers never cross groups;
-* the per-tenant programs are merged onto the full machine by remapping
-  core indices, and simulated together, so the tenants contend for the
-  one thing they physically share: the bus to global memory.
+* each tenant's program is *placed* on the full machine by renaming its
+  core indices (:func:`place_program`), and the placed programs run as
+  one *wave*: one :class:`~repro.sim.session.SimSession` injection each,
+  all at one instant (:func:`inject_wave`), so the tenants contend for
+  the one thing they physically share: the bus to global memory.
 
 The result quantifies interference: per-tenant latency inflation versus
 running alone on the same cores.
@@ -19,14 +21,15 @@ running alone on the same cores.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.compiler.compiler import CompiledModel, compile_model
 from repro.compiler.options import CompileOptions
-from repro.compiler.program import Command, Program
+from repro.compiler.program import Program
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
-from repro.sim.simulator import SimResult, simulate
+from repro.sim.session import SimSession
+from repro.sim.simulator import simulate
 from repro.sim.trace import Trace
 
 
@@ -63,6 +66,9 @@ class TenantResult:
     start_us: float
     isolated_latency_us: float
     compiled: CompiledModel
+    #: the tenant's events in the concurrent run (its own command ids,
+    #: physical cores, cycles of the shared clock).
+    trace: Trace = dataclasses.field(repr=False)
 
     @property
     def interference(self) -> float:
@@ -78,7 +84,6 @@ class ConcurrentResult:
 
     tenants: List[TenantResult]
     makespan_us: float
-    sim: SimResult
 
     def tenant(self, name: str) -> TenantResult:
         for t in self.tenants:
@@ -99,72 +104,52 @@ def sub_machine(npu: NPUConfig, cores: Sequence[int], name: str) -> NPUConfig:
     )
 
 
-def merge_programs(
-    parts: Sequence[Tuple[Program, Sequence[int], str]],
-    num_cores: int,
-) -> Program:
-    """Merge per-tenant programs onto the full machine.
+def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Program:
+    """``program``, compiled for a core group, on an ``num_cores``-core
+    machine: core ``i`` of the group becomes physical core ``cores[i]``.
 
-    ``parts`` is (program, core_map, tenant_name); command ids are
-    offset, cores remapped through ``core_map``, and layer names prefixed
-    with the tenant so traces stay attributable.
+    Only cores are renamed: command ids, dependencies and layer names
+    are unchanged, so the placed program's trace reads in the compiled
+    program's own terms.
     """
-    commands: List[Command] = []
-    offset = 0
-    for program, core_map, name in parts:
-        if program.num_cores > len(core_map):
-            raise ValueError(f"tenant {name!r}: core map too small")
-        for cmd in program.commands:
-            commands.append(
-                dataclasses.replace(
-                    cmd,
-                    cid=cmd.cid + offset,
-                    core=core_map[cmd.core],
-                    deps=tuple(d + offset for d in cmd.deps),
-                    layer=f"{name}/{cmd.layer}" if cmd.layer else name,
-                )
-            )
-        offset += len(program.commands)
-    merged = Program(num_cores=num_cores, commands=commands)
-    merged.validate()
-    # Remapping ids and cores can silently manufacture a queue/dependency
-    # deadlock that per-part validation cannot see; run the static
-    # verifier's structure pass over the merged whole.
+    if len(cores) < program.num_cores:
+        raise ValueError(f"core map {tuple(cores)} too short for {program.num_cores} cores")
+    if len(set(cores)) != len(cores):
+        raise ValueError(f"core map {tuple(cores)} repeats a core")
+    placed = Program(
+        num_cores=num_cores,
+        commands=[dataclasses.replace(c, core=cores[c.core]) for c in program.commands],
+    )
+    # The static verifier's structure pass (well-formedness and the
+    # dependency/queue deadlock check) must accept what the session runs.
     from repro.verify import VerificationError, verify_program
 
-    report = verify_program(
-        merged, model="+".join(name for _, _, name in parts), config="merged"
-    )
+    report = verify_program(placed, config="placed")
     if not report.ok:
         raise VerificationError(report)
-    return merged
+    return placed
 
 
-def tenant_spans(
-    trace: Trace, names: Sequence[str]
-) -> Dict[str, Tuple[float, float]]:
-    """(first start, last end) in cycles of each tenant's trace events.
+def inject_wave(
+    session: SimSession,
+    programs: Sequence[Program],
+    at_us: float,
+    seed: int,
+    metas: Optional[Sequence[Any]] = None,
+) -> None:
+    """Inject ``programs`` into ``session`` at ``at_us``, one injection
+    per program in slot order, ``metas[slot]`` as each one's ``meta``.
 
-    Tenants are identified by the layer prefix :func:`merge_programs`
-    applied.  Names without any events are absent from the result.
+    Slot ``k`` seeds its jitter after the commands of slots ``0..k-1``
+    (``cid_base``), so the wave replays, bit for bit, one run of the
+    programs concatenated in slot order -- the numbering only this
+    function knows.  Placed programs on disjoint cores are concurrent
+    tenants; copies of one program are back-to-back frames.
     """
-    layer_col = trace.column("layer")
-    start_col = trace.column("start")
-    end_col = trace.column("end")
-    spans: Dict[str, Tuple[float, float]] = {}
-    for name in names:
-        prefix = f"{name}/"
-        positions = [
-            p
-            for p, layer in enumerate(layer_col)
-            if layer.startswith(prefix) or layer == name
-        ]
-        if positions:
-            spans[name] = (
-                min(start_col[p] for p in positions),
-                max(end_col[p] for p in positions),
-            )
-    return spans
+    base = 0
+    for program, meta in zip(programs, metas or [None] * len(programs)):
+        session.inject(program, at_us, seed=seed, meta=meta, cid_base=base)
+        base += len(program.commands)
 
 
 def auto_assign(
@@ -206,6 +191,17 @@ def auto_assign(
     return best
 
 
+def trace_span(trace: Trace) -> Tuple[float, float]:
+    """(first start, last end) of a trace's events; (0, 0) without any.
+
+    A program injected after t=0 spans less than its completion time:
+    its latency is the span's length, not its end.
+    """
+    if not len(trace):
+        return (0.0, 0.0)
+    return (trace.column("start")[0], trace.makespan)
+
+
 def run_concurrent(
     npu: NPUConfig,
     tenants: Sequence[Tenant],
@@ -221,35 +217,30 @@ def run_concurrent(
             raise ValueError(f"cores {sorted(overlap)} assigned to two tenants")
         used |= set(t.cores)
 
-    compiled: Dict[str, CompiledModel] = {}
-    isolated: Dict[str, float] = {}
-    parts = []
+    compiled: List[CompiledModel] = []
+    isolated: List[float] = []
     for t in tenants:
         machine = sub_machine(npu, t.cores, t.name)
         model = compile_model(t.graph, machine, t.options)
-        compiled[t.name] = model
-        isolated[t.name] = simulate(model.program, machine, seed=seed).latency_us
-        parts.append((model.program, list(t.cores), t.name))
+        compiled.append(model)
+        isolated.append(simulate(model.program, machine, seed=seed).latency_us)
 
-    merged = merge_programs(parts, npu.num_cores)
-    sim = simulate(merged, npu, seed=seed)
-
-    spans = tenant_spans(sim.trace, [t.name for t in tenants])
+    session = SimSession(npu, memo=None)
+    placed = [place_program(m.program, t.cores, npu.num_cores) for m, t in zip(compiled, tenants)]
+    inject_wave(session, placed, at_us=0.0, seed=seed, metas=range(len(tenants)))
+    traces = {out.meta: out.trace for out in session.run_until(stop_on_completion=False)}
     results = []
-    for t in tenants:
-        start, end = spans.get(t.name, (0.0, 0.0))
+    for slot, t in enumerate(tenants):
+        start, end = trace_span(traces[slot])
         results.append(
             TenantResult(
                 name=t.name,
                 latency_us=npu.cycles_to_us(end - start),
                 completion_us=npu.cycles_to_us(end),
                 start_us=npu.cycles_to_us(start),
-                isolated_latency_us=isolated[t.name],
-                compiled=compiled[t.name],
+                isolated_latency_us=isolated[slot],
+                compiled=compiled[slot],
+                trace=traces[slot],
             )
         )
-    return ConcurrentResult(
-        tenants=results,
-        makespan_us=npu.cycles_to_us(sim.trace.makespan),
-        sim=sim,
-    )
+    return ConcurrentResult(tenants=results, makespan_us=max(r.completion_us for r in results))

@@ -345,14 +345,18 @@ class SimSession:
         seed: int = 0,
         label: str = "",
         meta: Any = None,
+        cid_base: int = 0,
     ) -> int:
         """Admit ``program`` onto the timeline at serving time ``at_us``.
 
-        The program's commands name physical cores (a merged/placed
-        program from :func:`repro.sim.multitenant.merge_programs`); the
-        session does not check that those cores are free -- overlapping
+        The program's commands name physical cores (a placed program
+        from :func:`repro.sim.multitenant.place_program`); the session
+        does not check that those cores are free -- overlapping
         injections on one core simply queue behind each other in their
         (core, engine) streams, so the *caller* owns core accounting.
+
+        ``cid_base`` offsets the command ids that seed jitter draws;
+        only :func:`repro.sim.multitenant.inject_wave` sets it.
 
         Returns an injection id; the matching
         :class:`InjectionOutcome` is delivered by :meth:`run_until`.  A
@@ -400,7 +404,8 @@ class SimSession:
         inj = _Injection(iid, label, meta, program, plan, base, self.origin_us, self.clock)
         if solo:
             inj.solo = True
-            if self.memo is not None:
+            # The memo holds one-shot runs, whose draws start at cid 0.
+            if self.memo is not None and not cid_base:
                 inj.memo_key = memo_mod.clean_key(program, npu, seed)
                 self._fast_iid = iid
         self._active[iid] = inj
@@ -430,7 +435,7 @@ class SimSession:
         end = base + n
         unset = [_NOT_DONE] * n
         self._indeg[base:end] = plan.indeg0
-        self._delay[base:end] = plan.delays_for(seed)
+        self._delay[base:end] = plan.delays_for(seed, cid_base)
         self._evkind[base:end] = plan.evkind
         self._bytes[base:end] = plan.num_bytes_f
         self._dma_cap[base:end] = plan.dma_cap

@@ -175,7 +175,7 @@ class _SimPlan:
         self.jittered: List[Tuple[int, float]] = []
         trace_fields: List[Tuple] = [()] * total
         self.trace_fields = trace_fields
-        self._delay_cache: Dict[int, List[float]] = {}
+        self._delay_cache: Dict[Tuple[int, int], List[float]] = {}
 
         sync_bound = npu.sync_jitter_cycles
         halo_bound = npu.halo_jitter_cycles
@@ -271,7 +271,7 @@ class _SimPlan:
             self._next_q = nxt
         return nxt
 
-    def delays_for(self, seed: int) -> List[float]:
+    def delays_for(self, seed: int, base: int = 0) -> List[float]:
         """Per-command durations with this seed's jitter applied.
 
         The returned list is shared and cached: callers must treat it
@@ -281,22 +281,24 @@ class _SimPlan:
         no jitter.  One reseeded generator replaces the per-command
         ``random.Random`` construction of the reference scheduler;
         reseeding is equivalent to construction, so the draws are
-        bit-identical.
+        bit-identical.  Draws are seeded by ``cid + base``, so a wave's
+        later programs draw as if numbered after the earlier ones
+        (:func:`repro.sim.multitenant.inject_wave`).
         """
         if not self.jittered:
             return self.base_delay
         cache = self._delay_cache
-        delay = cache.get(seed)
+        delay = cache.get((seed, base))
         if delay is None:
             delay = list(self.base_delay)
             rng = random.Random()
             hi = seed << 32
             for cid, bound in self.jittered:
-                rng.seed(hi ^ (cid * 2654435761))
+                rng.seed(hi ^ ((cid + base) * 2654435761))
                 delay[cid] += rng.uniform(0.0, bound)
             if len(cache) >= _DELAY_CACHE_LIMIT:
                 cache.pop(next(iter(cache)))
-            cache[seed] = delay
+            cache[seed, base] = delay
         return delay
 
 

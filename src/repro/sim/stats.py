@@ -128,9 +128,9 @@ def count_barrier_groups(trace: Trace) -> int:
     One barrier emission is a group of BARRIER commands sharing a
     (layer, tag) label, one per *participating* core.  Dividing the raw
     event count by the machine's core count -- the previous accounting --
-    undercounts merged multi-tenant programs, whose barriers span only a
-    tenant's core group (tenant prefixes keep the labels distinct across
-    tenants and repeated frames).
+    undercounts a tenant placed on a core group of a larger machine,
+    whose barriers span only that group; a wave's count is the sum over
+    its injections' traces.
     """
     layers = trace.column("layer")
     tags = trace.column("tag")

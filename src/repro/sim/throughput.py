@@ -2,8 +2,11 @@
 
 A camera pipeline runs inference per frame; consecutive frames are
 independent, so frame *k+1*'s loads can stream while frame *k*'s tail is
-still computing -- the engines' in-order queues pipeline across frames
-naturally once the programs are concatenated.  This module measures that
+still computing.  Frames run as one wave of injections of the same
+program (:func:`repro.sim.multitenant.inject_wave`): they share no
+dependency edges, and each frame queues behind the earlier ones on every
+engine -- exactly the pipelining a double-buffered runtime achieves, and
+no frame can wait on a later one.  This module measures that
 steady-state throughput and how much of the per-frame coordination cost
 it amortizes.
 """
@@ -14,44 +17,9 @@ import dataclasses
 
 from repro.compiler.program import Program
 from repro.hw.config import NPUConfig
-from repro.sim.simulator import SimResult, simulate
-
-
-def repeat_program(program: Program, frames: int, label: str = "f") -> Program:
-    """Concatenate ``frames`` copies of ``program`` on the same cores.
-
-    Copies carry no cross-frame dependencies (independent inputs and
-    output buffers in global memory); per-engine program order still
-    serializes each engine's work, which is exactly the pipelining a
-    double-buffered runtime achieves.
-    """
-    if frames <= 0:
-        raise ValueError("frames must be positive")
-    commands = []
-    offset = 0
-    for frame in range(frames):
-        prefix = f"{label}{frame}/"
-        for cmd in program.commands:
-            commands.append(
-                dataclasses.replace(
-                    cmd,
-                    cid=cmd.cid + offset,
-                    deps=tuple(d + offset for d in cmd.deps),
-                    layer=prefix + cmd.layer if cmd.layer else prefix.rstrip("/"),
-                )
-            )
-        offset += len(program.commands)
-    merged = Program(num_cores=program.num_cores, commands=commands)
-    merged.validate()
-    # Offsetting ids frame by frame must preserve deadlock freedom across
-    # the whole concatenation; the structure pass checks the union of
-    # dependency edges and engine queue order.
-    from repro.verify import VerificationError, verify_program
-
-    report = verify_program(merged, model=f"{frames}x{label}", config="repeated")
-    if not report.ok:
-        raise VerificationError(report)
-    return merged
+from repro.sim.multitenant import inject_wave
+from repro.sim.session import SimSession
+from repro.sim.simulator import simulate
 
 
 @dataclasses.dataclass
@@ -61,7 +29,6 @@ class ThroughputResult:
     frames: int
     single_frame_latency_us: float
     makespan_us: float
-    sim: SimResult
 
     @property
     def us_per_frame(self) -> float:
@@ -88,12 +55,14 @@ def measure_throughput(
     seed: int = 0,
 ) -> ThroughputResult:
     """Simulate ``frames`` consecutive inferences of ``program``."""
+    if frames <= 0:
+        raise ValueError("frames must be positive")
     single = simulate(program, npu, seed=seed).latency_us
-    merged = repeat_program(program, frames)
-    sim = simulate(merged, npu, seed=seed)
+    session = SimSession(npu, memo=None)
+    inject_wave(session, [program] * frames, at_us=0.0, seed=seed)
+    makespan = max(out.completed_at_cycles for out in session.run_until(stop_on_completion=False))
     return ThroughputResult(
         frames=frames,
         single_frame_latency_us=single,
-        makespan_us=npu.cycles_to_us(sim.trace.makespan),
-        sim=sim,
+        makespan_us=npu.cycles_to_us(makespan),
     )

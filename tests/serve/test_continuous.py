@@ -122,7 +122,7 @@ class TestVerifiedadmissions:
     def test_mid_session_programs_pass_the_verifier(
         self, npu, predictor, continuous
     ):
-        """Every program admitted mid-session is a placed merge the
+        """Every program admitted mid-session is a placed program the
         static verifier accepts -- backfill changes *when* programs
         start, never what runs."""
         report = continuous["fifo"]
@@ -130,9 +130,8 @@ class TestVerifiedadmissions:
             ((r.request.model, tuple(r.cores)),) for r in report.results
         }
         assert len(patterns) == report.verified_programs
-        for pattern in patterns:
-            merged = predictor.merged_for(pattern)
-            assert check_structure(merged).ok
+        for ((model, cores),) in patterns:
+            assert check_structure(predictor.placed_for(model, cores)).ok
 
 
 class _StallerPolicy(SchedulingPolicy):

@@ -253,9 +253,9 @@ class OracleSession:
     ) -> int:
         """Admit ``program`` onto the timeline at serving time ``at_us``.
 
-        The program's commands name physical cores (a merged/placed
-        program from :func:`repro.sim.multitenant.merge_programs`); the
-        session does not check that those cores are free -- overlapping
+        The program's commands name physical cores (a placed program
+        from :func:`repro.sim.multitenant.place_program`); the session
+        does not check that those cores are free -- overlapping
         injections on one core simply queue behind each other in their
         (core, engine) streams, so the *caller* owns core accounting.
 

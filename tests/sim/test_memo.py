@@ -199,7 +199,7 @@ class TestSessionSharing:
     def test_overlap_disables_store(self, npu):
         """Overlapping injections are outside the solo-replay contract
         and must not write (wrong) clean entries."""
-        from repro.sim import merge_programs, sub_machine
+        from repro.sim import place_program, sub_machine
         from tests.conftest import make_chain_graph
 
         def placed(cores, label):
@@ -210,7 +210,7 @@ class TestSessionSharing:
                 else CompileOptions.base()
             )
             prog = compile_model(make_chain_graph(), sub, opts).program
-            return merge_programs([(prog, list(cores), label)], npu.num_cores)
+            return place_program(prog, cores, npu.num_cores)
 
         memo = SimMemo(store_on_first_miss=True)
         session = SimSession(npu, memo=memo)

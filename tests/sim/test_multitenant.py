@@ -6,10 +6,11 @@ import pytest
 from repro.compiler import CompileOptions, compile_model
 from repro.hw import homogeneous, tiny_test_machine
 from repro.sim import (
+    SimSession,
     Tenant,
-    merge_programs,
+    inject_wave,
+    place_program,
     run_concurrent,
-    simulate,
     sub_machine,
 )
 
@@ -55,31 +56,38 @@ class TestSubMachine:
         assert sub.bus_bytes_per_cycle == npu.bus_bytes_per_cycle
 
 
-class TestMerge:
-    def test_ids_and_cores_remapped(self, npu):
+class TestPlace:
+    def test_cores_renamed_ids_deps_layers_kept(self, npu):
         g = make_chain_graph()
-        p1 = compile_model(g, sub_machine(npu, [0], "a"), CompileOptions.single_core()).program
-        p2 = compile_model(g, sub_machine(npu, [2], "b"), CompileOptions.single_core()).program
-        merged = merge_programs([(p1, [0], "a"), (p2, [2], "b")], 3)
-        assert len(merged) == len(p1) + len(p2)
-        cores = {c.core for c in merged.commands}
-        assert cores == {0, 2}
-        # layer names are prefixed for attribution.
-        assert any(c.layer.startswith("b/") for c in merged.commands)
+        prog = compile_model(g, sub_machine(npu, [0, 1], "a"), CompileOptions.base()).program
+        placed = place_program(prog, [2, 0], 3)
+        assert placed.num_cores == 3
+        assert len(placed) == len(prog)
+        for cmd, orig in zip(placed.commands, prog.commands):
+            assert cmd.core == (2, 0)[orig.core]
+            assert (cmd.cid, cmd.deps, cmd.layer) == (orig.cid, orig.deps, orig.layer)
 
-    def test_merged_program_validates_and_runs(self, npu):
+    def test_placed_wave_runs(self, npu):
         g = make_chain_graph()
         p1 = compile_model(g, sub_machine(npu, [0, 1], "a"), CompileOptions.base()).program
         p2 = compile_model(g, sub_machine(npu, [2], "b"), CompileOptions.single_core()).program
-        merged = merge_programs([(p1, [0, 1], "a"), (p2, [2], "b")], 3)
-        result = simulate(merged, npu)
-        assert result.makespan_cycles > 0
+        session = SimSession(npu, memo=None)
+        inject_wave(session, [place_program(p1, [0, 1], 3), place_program(p2, [2], 3)], 0.0, 0)
+        outcomes = session.run_until(stop_on_completion=False)
+        assert len(outcomes) == 2
+        assert all(out.completed_at_cycles > 0 and not out.failed for out in outcomes)
 
-    def test_core_map_too_small_rejected(self, npu):
+    def test_core_map_too_short_rejected(self, npu):
         g = make_chain_graph()
         p1 = compile_model(g, sub_machine(npu, [0, 1], "a"), CompileOptions.base()).program
-        with pytest.raises(ValueError):
-            merge_programs([(p1, [0], "a")], 3)
+        with pytest.raises(ValueError, match="too short"):
+            place_program(p1, [0], 3)
+
+    def test_repeated_core_rejected(self, npu):
+        g = make_chain_graph()
+        p1 = compile_model(g, sub_machine(npu, [0, 1], "a"), CompileOptions.base()).program
+        with pytest.raises(ValueError, match="repeats"):
+            place_program(p1, [1, 1], 3)
 
 
 class TestRunConcurrent:
@@ -161,14 +169,13 @@ class TestAccountingRegressions:
         result = run_concurrent(npu, tenants)
         from repro.sim import collect_stats
 
-        stats = collect_stats(result.sim.trace, npu)
-        assert stats.num_barriers == expected
+        assert sum(collect_stats(t.trace, npu).num_barriers for t in result.tenants) == expected
 
     def test_staggered_tenant_latency_is_span_not_completion(self):
         """A tenant starting at t>0 must report max(end)-min(start), not
         its absolute completion time."""
         from repro.compiler.program import CommandKind, Engine
-        from repro.sim import tenant_spans
+        from repro.sim.multitenant import trace_span
         from repro.sim.trace import Trace, TraceEvent
 
         def ev(cid, core, layer, start, end):
@@ -179,19 +186,13 @@ class TestAccountingRegressions:
                 own_ready=start, dep_ready=start,
             )
 
-        trace = Trace(
-            [
-                ev(0, 0, "a/c1", 0.0, 100.0),
-                ev(1, 0, "a/c2", 100.0, 200.0),
-                ev(2, 1, "b/c1", 150.0, 300.0),
-                ev(3, 1, "b/c2", 300.0, 420.0),
-            ]
-        )
-        spans = tenant_spans(trace, ["a", "b"])
-        assert spans["a"] == (0.0, 200.0)
-        assert spans["b"] == (150.0, 420.0)
+        a = Trace([ev(0, 0, "c1", 0.0, 100.0), ev(1, 0, "c2", 100.0, 200.0)])
+        b = Trace([ev(0, 1, "c1", 150.0, 300.0), ev(1, 1, "c2", 300.0, 420.0)])
+        assert trace_span(a) == (0.0, 200.0)
+        assert trace_span(b) == (150.0, 420.0)
         # span (latency) for b is 270 cycles, completion is 420.
-        assert spans["b"][1] - spans["b"][0] == pytest.approx(270.0)
+        assert trace_span(b)[1] - trace_span(b)[0] == pytest.approx(270.0)
+        assert trace_span(Trace([])) == (0.0, 0.0)
 
     def test_completion_at_least_latency(self, npu):
         result = run_concurrent(
@@ -206,21 +207,19 @@ class TestAccountingRegressions:
             assert t.start_us >= 0.0
 
 
-class TestMergedVerification:
-    """merge_programs output goes through the static verifier."""
+class TestPlacedVerification:
+    """place_program output goes through the static verifier."""
 
-    def test_merged_program_verifies_clean(self, npu):
+    def test_placed_program_verifies_clean(self, npu):
         from repro.verify import verify_program
 
         g = make_chain_graph()
         p1 = compile_model(g, sub_machine(npu, [0, 1], "a"), CompileOptions.base()).program
-        p2 = compile_model(g, sub_machine(npu, [2], "b"), CompileOptions.single_core()).program
-        merged = merge_programs([(p1, [0, 1], "a"), (p2, [2], "b")], 3)
-        assert verify_program(merged).ok
+        assert verify_program(place_program(p1, [1, 2], 3)).ok
 
-    def test_corrupt_merge_rejected(self, npu):
-        """A merge that would deadlock on silicon raises, instead of
-        silently producing an unrunnable program."""
+    def test_corrupt_program_rejected(self, npu):
+        """A program that would deadlock on silicon raises at placement,
+        instead of reaching the session as an unrunnable program."""
         import dataclasses as dc
 
         from repro.verify import VerificationError
@@ -241,8 +240,8 @@ class TestMergedVerification:
         from repro.compiler.program import Program
 
         bad = Program(num_cores=p1.num_cores, commands=cmds)
-        with pytest.raises((VerificationError, ValueError)):
-            merge_programs([(bad, [0], "a")], 3)
+        with pytest.raises(VerificationError):
+            place_program(bad, [0], 3)
 
 
 class TestAutoAssign:

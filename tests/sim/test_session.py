@@ -8,7 +8,7 @@ from repro.compiler import CompileOptions, compile_model
 from repro.compiler.program import Program
 from repro.faults import CoreOffline, FaultPlan
 from repro.hw import tiny_test_machine
-from repro.sim import SimSession, merge_programs, simulate, sub_machine
+from repro.sim import SimSession, place_program, simulate, sub_machine
 from repro.sim.session import InjectionOutcome
 
 from tests.conftest import make_chain_graph, make_mixed_graph
@@ -31,7 +31,7 @@ def placed(npu, cores, label):
         CompileOptions.single_core() if len(cores) == 1 else CompileOptions.base()
     )
     prog = compile_model(make_chain_graph(), sub, opts).program
-    return merge_programs([(prog, list(cores), label)], npu.num_cores)
+    return place_program(prog, cores, npu.num_cores)
 
 
 def events_of(trace):

@@ -216,6 +216,29 @@ class TestJitter:
             program, npu, seed=2
         ).makespan_cycles
 
+    @pytest.mark.parametrize("base", [0, 1, 977])
+    def test_draws_seeded_by_cid_plus_base(self, base):
+        """``delays_for(seed, base)`` draws command ``cid``'s jitter the
+        way the reference scheduler draws command ``cid + base``'s, so
+        base 0 is the one-shot table."""
+        import random
+
+        from repro.sim.simulator import _plan_for
+
+        npu = dataclasses.replace(machine(cores=2), sync_jitter_cycles=1000)
+        b = ProgramBuilder(2)
+        for _ in range(3):
+            b.add(0, CommandKind.COMPUTE, macs=1000)
+            b.barrier(cycles=5.0)
+        plan = _plan_for(b.build(), npu)
+        assert plan.delays_for(1) is plan.delays_for(1, 0)
+        for seed in (1, 2):
+            delays = plan.delays_for(seed, base)
+            assert plan.jittered
+            for cid, bound in plan.jittered:
+                rng = random.Random((seed << 32) ^ ((cid + base) * 2654435761))
+                assert delays[cid] == plan.base_delay[cid] + rng.uniform(0.0, bound)
+
 
 class TestErrors:
     def test_core_count_mismatch(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler import CompileOptions, compile_model
 from repro.hw import tiny_test_machine
-from repro.sim import measure_throughput, repeat_program
+from repro.sim import measure_throughput
 
 from tests.conftest import make_chain_graph
 
@@ -15,39 +15,12 @@ def compiled():
     return compile_model(make_chain_graph(), npu, CompileOptions.base()), npu
 
 
-class TestRepeat:
-    def test_rejects_nonpositive(self, compiled):
-        model, _ = compiled
-        with pytest.raises(ValueError):
-            repeat_program(model.program, 0)
-
-    def test_command_count_scales(self, compiled):
-        model, _ = compiled
-        merged = repeat_program(model.program, 3)
-        assert len(merged) == 3 * len(model.program)
-
-    def test_repeated_program_verifies_clean(self, compiled):
-        from repro.verify import verify_program
-
-        model, _ = compiled
-        merged = repeat_program(model.program, 3)
-        assert verify_program(merged).ok
-
-    def test_frames_labelled(self, compiled):
-        model, _ = compiled
-        merged = repeat_program(model.program, 2)
-        assert any(c.layer.startswith("f0/") for c in merged.commands)
-        assert any(c.layer.startswith("f1/") for c in merged.commands)
-
-    def test_no_cross_frame_deps(self, compiled):
-        model, _ = compiled
-        n = len(model.program)
-        merged = repeat_program(model.program, 2)
-        for cmd in merged.commands[n:]:
-            assert all(d >= n for d in cmd.deps)
-
-
 class TestThroughput:
+    def test_rejects_nonpositive(self, compiled):
+        model, npu = compiled
+        with pytest.raises(ValueError):
+            measure_throughput(model.program, npu, frames=0)
+
     def test_per_frame_cost_at_most_latency(self, compiled):
         """Pipelining across frames can only help (or be neutral)."""
         model, npu = compiled
