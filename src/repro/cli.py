@@ -83,6 +83,18 @@ def _at_least(kind: type, low: float, strict: bool = False):
     return parse
 
 
+def _finite(text: str) -> float:
+    """An argparse ``type=`` for a finite number; NaN and infinities
+    exit 2 with a message."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _graph(name: str):
     if name == "stem":
         return inception_v3_stem()
@@ -589,8 +601,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print()
         print(render_degradation_table(reports))
     print(
-        f"\n{sum(r.verified_programs for r in reports)} merged program(s) "
-        f"built, all verifier-clean"
+        f"\n{sum(r.verified_programs for r in reports)} wave shape(s) run, "
+        f"every placed program verifier-clean"
     )
     return 0
 
@@ -913,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally cap the workload at N requests",
     )
     p.add_argument(
-        "--slo-scale", type=float, default=5.0,
+        "--slo-scale", type=_finite, default=5.0,
         help="per-request SLO as a multiple of the model's isolated "
         "latency (0 disables SLOs)",
     )
@@ -1000,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="additionally cap the workload at N requests",
     )
     p.add_argument(
-        "--slo-scale", type=float, default=5.0,
+        "--slo-scale", type=_finite, default=5.0,
         help="per-request SLO as a multiple of the model's isolated "
         "latency on device 0 (0 disables SLOs)",
     )

@@ -47,10 +47,10 @@ class Request:
     slo_us: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.arrival_us < 0:
-            raise ValueError(f"request {self.rid}: negative arrival time")
-        if self.slo_us < 0:
-            raise ValueError(f"request {self.rid}: negative SLO")
+        if not 0 <= self.arrival_us < math.inf:
+            raise ValueError(f"request {self.rid}: arrival time {self.arrival_us} is not >= 0")
+        if not 0 <= self.slo_us < math.inf:
+            raise ValueError(f"request {self.rid}: SLO {self.slo_us} is not >= 0")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,6 +91,13 @@ class RequestResult:
         return self.request.slo_us <= 0 or self.total_us <= self.request.slo_us
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Reject anything but a positive finite number; NaN fails every
+    comparison, so ``value <= 0`` alone would let it through."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _normalize_mix(models: Sequence[MixEntry]) -> Tuple[List[str], List[float]]:
     names: List[str] = []
     weights: List[float] = []
@@ -124,10 +131,8 @@ def generate_requests(
     caps the count.  ``slo_of`` maps a model name to its per-request SLO
     in microseconds (omitted: no SLOs).  Deterministic per seed.
     """
-    if rps <= 0:
-        raise ValueError("rps must be positive")
-    if duration_us <= 0:
-        raise ValueError("duration_us must be positive")
+    _check_positive("rps", rps)
+    _check_positive("duration_us", duration_us)
     _check_cap(max_requests)
     names, weights = _normalize_mix(models)
 
@@ -207,14 +212,11 @@ def generate_diurnal(
     """
     if not 0.0 <= depth <= 1.0:
         raise ValueError("depth must be in [0, 1]")
-    if rps <= 0:
-        raise ValueError("rps must be positive")
-    if duration_us <= 0:
-        raise ValueError("duration_us must be positive")
+    _check_positive("rps", rps)
+    _check_positive("duration_us", duration_us)
     if period_us is None:
         period_us = duration_us
-    if period_us <= 0:
-        raise ValueError("period_us must be positive")
+    _check_positive("period_us", period_us)
     names, weights = _normalize_mix(models)
 
     rng = random.Random(seed)
@@ -252,8 +254,7 @@ def generate_bursty(
     drawn from separate sub-generators, so the background stream is
     reproducible independent of the overlay parameters.
     """
-    if burst_factor <= 0:
-        raise ValueError("burst_factor must be positive")
+    _check_positive("burst_factor", burst_factor)
     if num_bursts < 0:
         raise ValueError("num_bursts must be >= 0")
     base = generate_requests(models, rps=rps, duration_us=duration_us, seed=seed)
@@ -301,10 +302,9 @@ def generate_sessions(
     """
     if num_users <= 0:
         raise ValueError("num_users must be positive")
-    if duration_us <= 0:
-        raise ValueError("duration_us must be positive")
-    if think_time_us < 0:
-        raise ValueError("think_time_us must be >= 0")
+    _check_positive("duration_us", duration_us)
+    if not 0 <= think_time_us < math.inf:
+        raise ValueError(f"think_time_us must be >= 0 and finite, got {think_time_us}")
     names, weights = _normalize_mix(models)
     estimate = (
         service_estimate_us

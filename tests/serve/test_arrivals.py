@@ -165,3 +165,27 @@ class TestMakeArrivals:
 
     def test_kind_registry(self):
         assert set(ARRIVAL_KINDS) == {"poisson", "diurnal", "bursty", "sessions"}
+
+
+NAN = float("nan")
+
+
+class TestNonFiniteInputs:
+    """NaN passes every ``x <= 0`` check, so it used to give an empty
+    stream or a silently running generator instead of an error."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_diurnal(["m"], rps=NAN, duration_us=1000.0),
+            lambda: generate_diurnal(["m"], rps=1000.0, duration_us=NAN),
+            lambda: generate_sessions(["m"], duration_us=NAN),
+            lambda: generate_sessions(["m"], duration_us=1000.0, think_time_us=NAN),
+            lambda: generate_bursty(["m"], rps=1000.0, duration_us=1000.0, burst_factor=NAN),
+        ],
+        ids=["diurnal-rps", "diurnal-duration", "sessions-duration", "sessions-think",
+             "bursty-factor"],
+    )
+    def test_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()

@@ -70,6 +70,18 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_requests([("m", -1.0)], rps=100, duration_us=1000)
 
+    @pytest.mark.parametrize("field", ["rps", "duration_us"])
+    def test_non_finite_rejected(self, field):
+        """NaN used to slip past ``<= 0`` and give an empty workload."""
+        kwargs = {"rps": 100.0, "duration_us": 1000.0, field: float("nan")}
+        with pytest.raises(ValueError, match="finite"):
+            generate_requests(["m"], **kwargs)
+
+    @pytest.mark.parametrize("field", ["arrival_us", "slo_us"])
+    def test_non_finite_request_rejected(self, field):
+        with pytest.raises(ValueError, match="request 0"):
+            Request(**{"rid": 0, "model": "m", "arrival_us": 0.0, field: float("nan")})
+
     @pytest.mark.parametrize("kind", ["poisson", "diurnal", "bursty", "sessions"])
     def test_negative_cap_rejected(self, kind):
         """A negative cap is malformed, not an empty workload."""

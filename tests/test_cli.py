@@ -363,6 +363,8 @@ class TestServe:
             ("serve", ["--faults", "throttle", "--backoff-us", "-5"]),
             ("fleet", ["--rps", "0"]),
             ("fleet", ["--requests", "-1"]),
+            ("serve", ["--slo-scale", "nan"]),
+            ("fleet", ["--slo-scale", "inf"]),
         ],
     )
     def test_malformed_flags_exit_2(self, capsys, cmd, flags):
