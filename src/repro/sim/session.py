@@ -364,11 +364,9 @@ class SimSession:
         cores already offline -- completes at injection time.
         """
         npu = self.npu
-        if program.num_cores > npu.num_cores:
-            raise ValueError(
-                f"program targets {program.num_cores} cores, "
-                f"machine has {npu.num_cores}"
-            )
+        # Built (and so checked) before anything moves: a rejected
+        # program leaves the session as it found it.
+        plan = _plan_for(program, npu)
         solo = self.faults is None and not self._active
         if solo:
             self._reset_frame(at_us)
@@ -391,7 +389,6 @@ class SimSession:
             self._fast_iid = None
             if not self._active:
                 self._reset_slots()
-        plan = _plan_for(program, npu)
         n = plan.total
         spare = self._spare.get(n)
         if spare:

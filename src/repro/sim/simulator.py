@@ -57,6 +57,7 @@ from repro.sim.trace import Trace, TraceColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.session import SimSession
+    from repro.verify.bounds import BoundsReport
 
 #: heap events within this many cycles of the clock retire together.
 _EPS = 1e-9
@@ -131,6 +132,7 @@ class _SimPlan:
         "own_cids",
         "protos",
         "static_cols",
+        "bounds",
         "_delay_cache",
         "_next_q",
     )
@@ -255,6 +257,9 @@ class _SimPlan:
         self.own_starts = np.array(own_starts, dtype=np.intp)
         self.own_cids = np.array(own_cids, dtype=np.intp)
         self._next_q: Optional[List[int]] = None
+        #: the static latency bracket, kept by
+        #: :func:`repro.verify.bounds.bounds_for` on first use.
+        self.bounds: Optional["BoundsReport"] = None
 
     def queue_successors(self) -> List[int]:
         """In-queue successor of each command (-1 for queue tails).
@@ -309,7 +314,16 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     frozen) machine description, so a program swept across seeds or
     machines keeps one plan per machine and the whole thing is garbage
     collected with the program.
+
+    Every reader of a (program, machine) pair comes through here -- the
+    event loop, the static bracket and the performance lint -- so this
+    is where the pair is checked: the core count on every call, the
+    program's well-formedness once, when its plan is built.
     """
+    if program.num_cores > npu.num_cores:
+        raise ValueError(
+            f"program targets {program.num_cores} cores, machine has {npu.num_cores}"
+        )
     plans: Dict[NPUConfig, _SimPlan] = getattr(program, _PLAN_ATTR, None)
     if plans is None:
         plans = {}
@@ -360,10 +374,6 @@ def simulate(
         raise ValueError(
             "check_bounds applies to clean runs only: fault injection "
             "(throttling, stalls, core death) escapes the static bracket"
-        )
-    if program.num_cores > npu.num_cores:
-        raise ValueError(
-            f"program targets {program.num_cores} cores, machine has {npu.num_cores}"
         )
     if memo is USE_DEFAULT_MEMO:
         memo = memo_mod.default_memo()

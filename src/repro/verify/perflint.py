@@ -13,6 +13,9 @@ RPR804    double-buffer stall: load[k] serialized behind compute[k-1]
 RPR805    sustained bus oversubscription window
 ========= ==========================================================
 
+RPR801 and RPR805 price commands as the bounds pass does, from the
+simulator's plan for the (program, machine) pair.
+
 Every finding is a WARNING: the program is correct, it is just leaving
 latency on the table.  Thresholds are tuned so all shipped h1--h8
 compiler outputs over the model zoo lint clean; the corruption tests in
@@ -33,9 +36,10 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
+from repro.analysis.critical_path import longest_path_times
 from repro.compiler.program import CommandKind, Engine, Program
-from repro.cost.compute import compute_cycles
-from repro.verify.bounds import bounds_for
+from repro.sim.simulator import _JOIN_BUS, _plan_for
+from repro.verify.bounds import _durations, bounds_for
 from repro.verify.diagnostics import PassResult, Severity
 from repro.verify.hb import HappensBefore
 
@@ -67,13 +71,11 @@ _HALO_KINDS = (CommandKind.HALO_SEND, CommandKind.HALO_RECV)
 
 def _check_imbalance(compiled: "CompiledModel", result: PassResult) -> None:
     """RPR801: per-core compute work spread."""
-    npu = compiled.npu
+    base_delay = _plan_for(compiled.program, compiled.npu).base_delay
     per_core: Dict[int, float] = {}
     for cmd in compiled.program.commands:
         if cmd.kind is CommandKind.COMPUTE and cmd.macs > 0:
-            per_core[cmd.core] = per_core.get(cmd.core, 0.0) + compute_cycles(
-                cmd.macs, npu.core(cmd.core)
-            )
+            per_core[cmd.core] = per_core.get(cmd.core, 0.0) + base_delay[cmd.cid]
     if len(per_core) < 2:
         result.stats["compute_imbalance_pct"] = 0
         return
@@ -261,35 +263,29 @@ def _check_bus_oversubscription(
     :data:`BUS_OVERSUB_FRACTION` of its best-case makespan is leaving
     the bus as its bottleneck.
     """
-    from repro.analysis.critical_path import longest_path_times
-    from repro.verify.bounds import _durations
-
     program = compiled.program
     npu = compiled.npu
-    commands = program.commands
     bw = npu.bus_bytes_per_cycle
     result.stats["bus_peak_ratio_pct"] = 0
     result.stats["bus_oversub_pct"] = 0
-    if bw <= 0 or not commands:
+    plan = _plan_for(program, npu)
+    if not plan.total:
         return
-    dma_queues = {
-        (c.core, c.engine) for c in commands if c.is_dma and c.num_bytes > 0
-    }
-    lo, _, _ = _durations(program, npu, len(dma_queues))
-    starts, finishes, _ = longest_path_times(program, lo)
+    lo, _, _, _ = _durations(plan, npu)
+    starts, finishes, _ = longest_path_times(program, lo, plan.prev_q)
     makespan = max(finishes)
     if makespan <= 0:
         return
 
     deltas: List[Tuple[float, float]] = []
-    for cmd in commands:
-        if not (cmd.is_dma and cmd.num_bytes > 0):
+    for cid, evkind in enumerate(plan.evkind):
+        if evkind != _JOIN_BUS:
             continue
-        begin = starts[cmd.cid] + npu.dram_latency_cycles + cmd.cycles
-        end = finishes[cmd.cid]
+        begin = starts[cid] + plan.base_delay[cid]
+        end = finishes[cid]
         if end <= begin:
             continue
-        cap = min(npu.core(cmd.core).dma_bytes_per_cycle, bw)
+        cap = min(plan.dma_cap[cid], bw)
         deltas.append((begin, cap))
         deltas.append((end, -cap))
     if not deltas:

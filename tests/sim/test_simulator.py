@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.compiler.program import CommandKind, ProgramBuilder
+from repro.compiler.program import Command, CommandKind, Program, ProgramBuilder
 from repro.cost.compute import compute_cycles
 from repro.hw import CoreConfig, NPUConfig
-from repro.sim import simulate
+from repro.sim import SimSession, simulate
 
 
 def machine(
@@ -240,6 +240,26 @@ class TestJitter:
                 assert delays[cid] == plan.base_delay[cid] + rng.uniform(0.0, bound)
 
 
+def _three_core_program():
+    b = ProgramBuilder(3)
+    b.add(2, CommandKind.COMPUTE, macs=1)
+    return b.build()
+
+
+def _dangling_program():
+    """Fits the machine but fails ``Program.validate()``."""
+    cmd = Command(cid=0, core=0, kind=CommandKind.COMPUTE, deps=(7,), macs=1)
+    return Program(num_cores=1, commands=[cmd])
+
+
+#: programs a 2-core machine must refuse, and the refusal's message
+_REJECTED = pytest.mark.parametrize(
+    "bad,message",
+    [(_three_core_program, "program targets 3 cores"), (_dangling_program, "dangling")],
+    ids=["too-wide", "dangling"],
+)
+
+
 class TestErrors:
     def test_core_count_mismatch(self):
         npu = machine(cores=1)
@@ -247,6 +267,39 @@ class TestErrors:
         b.add(1, CommandKind.COMPUTE, macs=1)
         with pytest.raises(ValueError):
             simulate(b.build(), npu)
+
+    def test_core_count_checked_by_every_reader(self):
+        """The simulator and the static bracket reject a program wider
+        than the machine alike, before pricing any command."""
+        from repro.verify import bounds_for, compute_bounds
+
+        program, npu = _three_core_program(), machine(cores=2)
+        for read in (simulate, compute_bounds, bounds_for):
+            with pytest.raises(ValueError, match="program targets 3 cores, machine has 2"):
+                read(program, npu)
+
+    @_REJECTED
+    def test_rejected_injection_leaves_idle_session_alone(self, bad, message):
+        session = SimSession(machine(cores=2), memo=None)
+        with pytest.raises(ValueError, match=message):
+            session.inject(bad(), at_us=500.0)
+        assert session.now_us == 0.0
+        assert session.idle
+
+    @_REJECTED
+    def test_rejected_injection_does_not_run_session_forward(self, bad, message):
+        npu = machine(cores=2)
+        b = ProgramBuilder(2)
+        b.add(0, CommandKind.COMPUTE, macs=200_000)  # 2,000 cycles: 2 us
+        program = b.build()
+        session = SimSession(npu, memo=None)
+        session.inject(program, at_us=0.0)
+        with pytest.raises(ValueError, match=message):
+            session.inject(bad(), at_us=3.0)
+        assert session.now_us == 0.0
+        assert session.num_active == 1
+        (out,) = session.run_until()
+        assert out.completed_at_cycles == simulate(program, npu, memo=None).makespan_cycles
 
     def test_empty_program(self):
         npu = machine()
