@@ -29,7 +29,9 @@ perflint   slow-schedule patterns (imbalance, stalls...)  RPR8xx
 
 When the structure pass finds errors, the happens-before relation is
 not trustworthy, so the ordering passes (race, liveness, perflint) are
-skipped rather than reporting nonsense on a broken graph.
+skipped rather than reporting nonsense on a broken graph.  The bounds
+pass is skipped too: it prices the program through the simulator's
+plan, which refuses a malformed program.
 """
 
 from __future__ import annotations
@@ -145,7 +147,10 @@ def verify_model(
     if "halo" in selected:
         report.passes.append(check_halo(compiled))
     if "bounds" in selected:
-        report.passes.append(check_bounds_pass(compiled, sim_result=sim_result))
+        if structure.ok:
+            report.passes.append(check_bounds_pass(compiled, sim_result=sim_result))
+        else:
+            report.passes.append(PassResult(name="bounds", skipped=True))
     if "perflint" in selected:
         if hb is None:
             report.passes.append(PassResult(name="perflint", skipped=True))

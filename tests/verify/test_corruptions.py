@@ -166,3 +166,19 @@ class TestStructureGating:
         by_name = {p.name: p for p in report.passes}
         assert by_name["race"].skipped
         assert by_name["liveness"].skipped
+
+    def test_broken_structure_skips_performance_passes(self, base_mixed):
+        # The bracket prices through the simulator's plan, which refuses
+        # the program: the report must carry RPR201, not a ValueError.
+        cmd = base_mixed.program.commands[-1]
+        broken = rebuild(
+            base_mixed,
+            replace={
+                cmd.cid: dataclasses.replace(cmd, deps=cmd.deps + (999999,))
+            },
+        )
+        report = verify_model(broken, passes=("structure", "bounds", "perflint"))
+        assert report.has_code("RPR201")
+        by_name = {p.name: p for p in report.passes}
+        assert by_name["bounds"].skipped
+        assert by_name["perflint"].skipped
