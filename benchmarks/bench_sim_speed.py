@@ -167,19 +167,19 @@ def measure_sim_throughput(npu) -> Dict[str, float]:
 def measure_bounds_overhead(npu) -> Dict[str, float]:
     """Cost of the ``check_bounds=True`` bracket oracle on cold runs.
 
-    The bracket derives once per (program, machine) and caches on the
-    program, so the steady-state overhead is one containment check per
-    run; like the simulator's plan cache, the one-time derivation is
-    warmed outside the timed region.  Plain runs are timed twice
-    (before and after the checked pass) and the faster pass is the
-    baseline, so scheduler drift on a busy machine cannot masquerade as
-    oracle overhead.
+    The bracket derives once per (program, machine) and is kept on the
+    simulator's plan for that pair, so the steady-state overhead is one
+    containment check per run; like the plan itself, the one-time
+    derivation is warmed outside the timed region.  Plain runs are
+    timed twice (before and after the checked pass) and the faster pass
+    is the baseline, so scheduler drift on a busy machine cannot
+    masquerade as oracle overhead.
     """
     from repro.verify.bounds import bounds_for
 
     program = _compiled_program(npu)
     simulate(program, npu, seed=0, memo=None)  # warm the plan cache
-    bounds_for(program, npu)  # warm the bracket cache
+    bounds_for(program, npu)  # warm the bracket kept on the plan
 
     # Plain and checked runs alternate back-to-back (same seed, same
     # instant), so machine-load drift hits both sums equally; the pair
