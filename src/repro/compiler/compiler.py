@@ -105,7 +105,23 @@ def compile_model(
     """
     options = options or CompileOptions.base()
     graph.validate()
+    try:
+        return _compile(graph, npu, options, weight_overrides)
+    finally:
+        # Receptive fields are memoized per layer for one compile only:
+        # the next compile of this graph starts cold, and no memo entry
+        # outlives the compile that made it.
+        for layer in graph.layers():
+            layer.region_memo.clear()
 
+
+def _compile(
+    graph: Graph,
+    npu: NPUConfig,
+    options: CompileOptions,
+    weight_overrides: Optional[Dict[str, Tuple[float, ...]]],
+) -> CompiledModel:
+    """The pipeline of :func:`compile_model`, run inside its memo scope."""
     partition = partition_graph(
         graph,
         npu,

@@ -21,7 +21,16 @@ class GraphError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Layer:
-    """A node in the DNN graph: an operator applied to named inputs."""
+    """A node in the DNN graph: an operator applied to named inputs.
+
+    ``region_memo`` caches :meth:`input_region` answers keyed by
+    ``(out_region, input_index)``.  The partitioner, stratum builder,
+    allocator, tiler and lowering all ask for the same receptive fields,
+    so one compile evaluates each once;
+    :func:`~repro.compiler.compile_model` empties the memo when it
+    returns or raises.  The memo is not part of the layer's value:
+    equality, hashing, ``repr`` and ``dataclasses.replace`` ignore it.
+    """
 
     name: str
     op: Operator
@@ -29,6 +38,9 @@ class Layer:
     input_shapes: Tuple[TensorShape, ...]
     output_shape: TensorShape
     dtype: DataType
+    region_memo: Dict[Tuple[Region, int], Region] = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def is_input(self) -> bool:
@@ -36,13 +48,22 @@ class Layer:
 
     def input_region(self, out_region: Region, input_index: int) -> Region:
         """Region of input ``input_index`` needed for ``out_region`` of output."""
+        key = (out_region, input_index)
+        region = self.region_memo.get(key)
+        if region is not None:
+            return region
         if input_index < 0 or input_index >= len(self.inputs):
             raise GraphError(f"layer {self.name} has no input index {input_index}")
         ishape = self.input_shapes[input_index]
         if isinstance(self.op, Concat):
             offset = self.op.channel_offset(input_index, self.input_shapes)
-            return self.op.input_region_with_offset(out_region, offset, ishape)
-        return self.op.input_region(out_region, input_index, ishape, self.output_shape)
+            region = self.op.input_region_with_offset(out_region, offset, ishape)
+        else:
+            region = self.op.input_region(
+                out_region, input_index, ishape, self.output_shape
+            )
+        self.region_memo[key] = region
+        return region
 
     def macs(self, out_region: Optional[Region] = None) -> int:
         region = Region.full(self.output_shape) if out_region is None else out_region
