@@ -28,7 +28,6 @@ from repro.ir.tensor import Region
 from repro.compiler.allocator import ForwardingPlan, InputDecision, InputMode
 from repro.compiler.options import CompileOptions
 from repro.compiler.program import CommandKind, Program, ProgramBuilder
-from repro.partition.direction import PartitionDirection
 from repro.partition.partitioner import GraphPartition
 from repro.schedule.stratum import StratumPlan
 from repro.schedule.tiling import plan_tiles
@@ -80,7 +79,11 @@ def lower(
     forwarding: ForwardingPlan,
     exec_regions: Dict[str, Tuple[Region, ...]],
 ) -> Program:
-    """Emit the full command program for one inference."""
+    """Emit the full command program for one inference.
+
+    ``partition`` is not read: every per-core region arrives through
+    ``exec_regions`` (see :func:`exec_regions_for`).
+    """
     builder = ProgramBuilder(npu.num_cores)
     state = _LoweringState()
 
@@ -101,7 +104,6 @@ def lower(
                 graph,
                 npu,
                 options,
-                partition,
                 forwarding,
                 exec_regions,
                 strata,
@@ -193,7 +195,6 @@ def _emit_sub_layer(
     graph: Graph,
     npu: NPUConfig,
     options: CompileOptions,
-    partition: GraphPartition,
     forwarding: ForwardingPlan,
     exec_regions: Dict[str, Tuple[Region, ...]],
     strata: StratumPlan,
@@ -252,14 +253,11 @@ def _emit_sub_layer(
         # buffer a stratum-top receive still needs.
         resident_bytes = recv_total
 
-    direction = partition.direction(name)
-    prefer_axis = "h" if direction is not PartitionDirection.CHANNEL else "h"
     plan = plan_tiles(
         layer,
         region,
         core,
         npu,
-        prefer_axis=prefer_axis,
         halo_first=options.halo_first,
         halo_at_start=halo_at_start,
         halo_at_end=halo_at_end,
@@ -382,6 +380,8 @@ def _emit_sub_layer(
     store_cids: List[Optional[int]] = []
     sent = False
     covered_sends: Set[int] = set()
+    send_total = sum(r.num_elements for r in send_regions)
+    send_produced = 0
 
     multi_band = plan.num_weight_bands > 1
     for k, tile in enumerate(plan.tiles):
@@ -465,17 +465,13 @@ def _emit_sub_layer(
         # Track which send-region tiles have computed; emit the halo send
         # as soon as the last contributor is in flight.
         if send_bytes > 0 and not sent:
-            if any(
-                not tile.out_region.intersect(r).is_empty for r in send_regions
-            ):
+            overlaps = [
+                tile.out_region.intersect(r).num_elements for r in send_regions
+            ]
+            if any(overlaps):
                 covered_sends.add(compute_cid)
-            produced = sum(
-                t.out_region.intersect(r).num_elements
-                for t in plan.tiles[: k + 1]
-                for r in send_regions
-            )
-            total = sum(r.num_elements for r in send_regions)
-            if produced >= total:
+            send_produced += sum(overlaps)
+            if send_produced >= send_total:
                 send_cid = builder.add(
                     core,
                     CommandKind.HALO_SEND,

@@ -114,11 +114,20 @@ class Region:
 
     @property
     def num_elements(self) -> int:
-        return self.rows.length * self.cols.length * self.chans.length
+        rows, cols, chans = self.rows, self.cols, self.chans
+        return (
+            (rows.stop - rows.start)
+            * (cols.stop - cols.start)
+            * (chans.stop - chans.start)
+        )
 
     @property
     def is_empty(self) -> bool:
-        return self.num_elements == 0
+        return (
+            self.rows.stop == self.rows.start
+            or self.cols.stop == self.cols.start
+            or self.chans.stop == self.chans.start
+        )
 
     def size_bytes(self, dtype: DataType) -> int:
         return self.num_elements * dtype.size_bytes

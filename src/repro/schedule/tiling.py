@@ -196,10 +196,12 @@ def _grow_until_fit(
     core: CoreConfig,
     input_stream_mask: Optional[Sequence[bool]],
     stores_output: bool,
-) -> List[Region]:
+) -> Tuple[List[Region], int]:
     """Split into at least ``num_tiles`` pieces, growing the count until
     the *actual* worst tile (halo rows and alignment rounding included)
     fits the double-buffered budget, or the axis runs out of room.
+
+    Returns the pieces and the worst piece's streamed SPM bytes.
     """
     num_tiles = max(1, min(num_tiles, cap))
     while True:
@@ -213,7 +215,7 @@ def _grow_until_fit(
             for r in regions
         )
         if resident_w + 2 * worst <= budget or num_tiles >= cap:
-            return regions
+            return regions, worst
         num_tiles += 1
 
 
@@ -305,7 +307,7 @@ def plan_tiles(
 
     alignment = core.spatial_alignment if axis == "h" else core.channel_alignment
     cap = _axis_capacity(out_region, axis, alignment) if axis != "none" else 1
-    regions = _grow_until_fit(
+    regions, worst = _grow_until_fit(
         layer,
         out_region,
         axis,
@@ -322,10 +324,6 @@ def plan_tiles(
     # The axis ran out of room before the worst tile fit (halo-dominated
     # inputs, coarse alignment): fall back to weight banding or to the
     # input-resident pattern.
-    worst = max(
-        _tile_stream_spm(layer, r, core, input_stream_mask, stores_output)
-        for r in regions
-    )
     if w_bytes + 2 * worst > budget:
         if (
             w_bytes > budget // 2
@@ -530,7 +528,7 @@ def _plan_banded(
         n_rows = max(1, math.ceil(stream / band_budget)) if stream else 1
         cap = _axis_capacity(band, "h", core.spatial_alignment)
         n_rows = min(max(n_rows, 2 if cap >= 2 else 1), cap)
-        row_tiles = _grow_until_fit(
+        row_tiles, _ = _grow_until_fit(
             layer,
             band,
             "h",
