@@ -75,14 +75,16 @@ class Command:
     cycles: float = 0.0
     layer: str = ""
     tag: str = ""
+    #: the queue ``kind`` runs on; derived, so not part of the value.
+    engine: Engine = dataclasses.field(init=False, compare=False, repr=False)
 
-    @property
-    def engine(self) -> Engine:
-        return _ENGINE_OF_KIND[self.kind]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "engine", _ENGINE_OF_KIND[self.kind])
 
     @property
     def is_dma(self) -> bool:
-        return self.engine in (Engine.LOAD, Engine.STORE)
+        engine = self.engine
+        return engine is Engine.LOAD or engine is Engine.STORE
 
     def __str__(self) -> str:
         payload = (

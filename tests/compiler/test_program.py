@@ -1,5 +1,7 @@
 """Command IR: builder, engine mapping, validation, barriers."""
 
+import dataclasses
+
 import pytest
 
 from repro.compiler.program import (
@@ -30,8 +32,20 @@ class TestEngineMapping:
 
     def test_is_dma(self):
         assert Command(cid=0, core=0, kind=CommandKind.LOAD_INPUT).is_dma
+        assert Command(cid=0, core=0, kind=CommandKind.HALO_SEND).is_dma
         assert not Command(cid=0, core=0, kind=CommandKind.COMPUTE).is_dma
         assert not Command(cid=0, core=0, kind=CommandKind.BARRIER).is_dma
+
+    def test_engine_is_derived_not_part_of_the_value(self):
+        cmd = Command(cid=3, core=1, kind=CommandKind.STORE_OUTPUT, num_bytes=8)
+        assert "engine" not in repr(cmd)
+        same = Command(cid=3, core=1, kind=CommandKind.STORE_OUTPUT, num_bytes=8)
+        assert cmd == same and hash(cmd) == hash(same)
+        # replace() re-derives the engine from the new kind.
+        moved = dataclasses.replace(cmd, kind=CommandKind.COMPUTE, num_bytes=0)
+        assert moved.engine is Engine.COMPUTE
+        with pytest.raises(ValueError):
+            dataclasses.replace(cmd, engine=Engine.LOAD)
 
 
 class TestBuilder:
