@@ -29,9 +29,11 @@ perflint   slow-schedule patterns (imbalance, stalls...)  RPR8xx
 
 When the structure pass finds errors, the happens-before relation is
 not trustworthy, so the ordering passes (race, liveness, perflint) are
-skipped rather than reporting nonsense on a broken graph.  The bounds
-pass is skipped too: it prices the program through the simulator's
-plan, which refuses a malformed program.
+skipped rather than reporting nonsense on a broken graph.  The two
+plan-reading passes (bounds, perflint) are skipped as well on any
+RPR201, the forward-dependency warning included: they price the
+program through the simulator's plan, which refuses a dependency that
+is not earlier.
 """
 
 from __future__ import annotations
@@ -128,6 +130,9 @@ def verify_model(
     hb: Optional[HappensBefore] = None
     if structure.ok:
         hb = HappensBefore(compiled.program)
+    # A cycle-free forward dependency is only a warning, but the plan
+    # behind bounds and perflint refuses it.
+    plan_ok = structure.ok and all(d.code != "RPR201" for d in structure.diagnostics)
 
     for name in ("race", "liveness"):
         if name not in selected:
@@ -147,12 +152,12 @@ def verify_model(
     if "halo" in selected:
         report.passes.append(check_halo(compiled))
     if "bounds" in selected:
-        if structure.ok:
+        if plan_ok:
             report.passes.append(check_bounds_pass(compiled, sim_result=sim_result))
         else:
             report.passes.append(PassResult(name="bounds", skipped=True))
     if "perflint" in selected:
-        if hb is None:
+        if hb is None or not plan_ok:
             report.passes.append(PassResult(name="perflint", skipped=True))
         else:
             report.passes.append(check_perflint(compiled, hb))

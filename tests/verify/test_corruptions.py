@@ -9,9 +9,14 @@ matching diagnostic code appears (and that the report flips to failed).
 
 import dataclasses
 
+import pytest
+
+from repro.compiler import CompileOptions, compile_model
 from repro.compiler.program import Command, CommandKind
+from repro.hw import tiny_test_machine
 from repro.verify import verify_model
 
+from tests.conftest import make_chain_graph
 from tests.verify.conftest import rebuild, strip_deps
 
 
@@ -182,3 +187,29 @@ class TestStructureGating:
         by_name = {p.name: p for p in report.passes}
         assert by_name["bounds"].skipped
         assert by_name["perflint"].skipped
+
+    @pytest.mark.parametrize("perf_pass", ["bounds", "perflint"])
+    def test_forward_dependency_skips_performance_passes(self, perf_pass):
+        # A forward edge onto another core's dependency-free queue head
+        # forms no cycle, so structure only warns (RPR201); the plan the
+        # performance passes price from still refuses the program.
+        base_chain = compile_model(
+            make_chain_graph(), tiny_test_machine(3), CompileOptions.base()
+        )
+        program = base_chain.program
+        first = program.commands[0]
+        heads = {}
+        for cmd in program.commands:
+            heads.setdefault((cmd.core, cmd.engine), cmd)
+        target = next(
+            h for h in heads.values()
+            if h.core != first.core and not h.deps and h.cid > first.cid
+        )
+        broken = rebuild(
+            base_chain,
+            replace={0: dataclasses.replace(first, deps=first.deps + (target.cid,))},
+        )
+        report = verify_model(broken, passes=("structure", perf_pass))
+        (structure, perf) = report.passes
+        assert structure.ok and [d.code for d in structure.diagnostics] == ["RPR201"]
+        assert perf.name == perf_pass and perf.skipped
