@@ -21,22 +21,16 @@ kernel fuses a membership step with the next-finish eta query that
 always follows it.  The clock does not move between the two, so the
 fused float sequence is the split one of the object form the retained
 reference cores drive (``tests/sim/fluid_bus.py``).  The kernels are
-unrolled for the 1-3 concurrent transfers that dominate real programs;
-at :data:`_VECTOR_MIN` transfers and up both forms switch to the numpy
-twins (``refill_rates_wide``, ``advance_wide``, ``eta_wide``), which
-vectorize only the order-independent parts: elementwise decrements are
-float-for-float what the scalar loop computes, min is a selection, and
-the stable argsort equals the stable list sort -- while the
-water-filling budget walk itself stays scalar, because its running
-budget is *sequentially rounded* (each subtraction feeds the next fair
-share) and has no closed form with the same rounding.
+unrolled for the 1-3 concurrent transfers that dominate real programs,
+and one general loop serves every wider bus.  Wide buses stay small:
+each (core, DMA engine) queue runs one command at a time, so a core has
+at most two transfers in flight and the bus at most twice the core
+count.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List
 
 # Residual bytes below this count as finished.  The scale matters: the
 # simulation clock sits in the 1e5..1e7 cycle range, where float64 ulp is
@@ -44,70 +38,7 @@ import numpy as np
 # corresponding eta never rounds to zero time (a livelock otherwise).
 _EPS = 1e-6
 
-#: in-flight transfer count at which the numpy twins take over.  Real
-#: CNN programs keep 1-6 transfers in flight, where per-call numpy
-#: overhead loses to straight-line Python; many-tenant sessions and
-#: synthetic wide-bus workloads cross over.  Read at call time, so
-#: tests can monkeypatch it low to force the vector paths.
-_VECTOR_MIN = 16
-
 _INF = float("inf")
-
-
-def refill_rates_wide(caps: Sequence[float], bandwidth: float) -> List[float]:
-    """Water-filling rates for ``caps`` sharing ``bandwidth`` (vectorized sort).
-
-    The stable argsort equals ``sorted(range(n), key=caps.__getitem__)``
-    (ties keep insertion order).  The budget walk stays scalar: each
-    subtraction's rounding feeds the next fair share, so vectorizing it
-    would change the float sequence.
-    """
-    order = np.argsort(np.asarray(caps), kind="stable").tolist()
-    n = len(order)
-    rates = [0.0] * n
-    budget = bandwidth
-    i = n
-    for j in order:
-        fair = budget / i
-        cap = caps[j]
-        rate = cap if cap <= fair else fair
-        rates[j] = rate
-        budget -= rate
-        i -= 1
-    return rates
-
-
-def advance_wide(
-    rem: Sequence[float], rates: Sequence[float], dt: float
-) -> Tuple[List[float], List[int]]:
-    """Decrement all residuals by ``rate * dt`` in one array op.
-
-    Returns the new residuals and the indices that crossed the finish
-    epsilon.  ``a - b * dt`` elementwise over float64 is bit-identical
-    to the scalar per-transfer decrement.
-    """
-    new = np.asarray(rem) - np.asarray(rates) * dt
-    fin = np.nonzero(new <= _EPS)[0]
-    return new.tolist(), fin.tolist()
-
-
-def eta_wide(rem: Sequence[float], rates: Sequence[float]) -> float:
-    """Time until the next transfer finishes, as one masked reduction.
-
-    Matches the scalar eta exactly: negative residuals clamp to zero
-    (``where``, not ``maximum``, to preserve -0.0 handling) and min is
-    an order-independent selection.
-    """
-    rate_arr = np.asarray(rates)
-    mask = rate_arr > 0.0
-    if not mask.any():
-        return float("inf")
-    rem_arr = np.asarray(rem)[mask]
-    rem_arr = np.where(rem_arr < 0.0, 0.0, rem_arr)
-    return float((rem_arr / rate_arr[mask]).min())
-
-
-# ---- epoch kernels over the flat (parallel-list) bus -----------------
 
 
 def refill_eta(
@@ -204,9 +135,6 @@ def refill_eta(
             if t < best:
                 best = t
         return best
-    if n >= _VECTOR_MIN:
-        rate[:] = refill_rates_wide(cap, bw)
-        return eta_wide(rem, rate)
     order = range(n) if uniform else sorted(range(n), key=cap.__getitem__)
     budget = bw
     i = n
@@ -333,13 +261,6 @@ def advance_eta(
             if t < best:
                 best = t
         return best
-    if n >= _VECTOR_MIN:
-        new_rem, at = advance_wide(rem, rate, dt)
-        rem[:] = new_rem
-        if at:
-            _retire(ids, rem, cap, rate, at, out)
-            return _INF
-        return eta_wide(rem, rate)
     at = None
     best = _INF
     for i in range(n):

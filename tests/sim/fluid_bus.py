@@ -5,9 +5,7 @@ redoes the water-filling split eagerly on each membership change.  The
 retained reference cores (:mod:`tests.sim.event_core`,
 :mod:`tests.sim.reference_scheduler`) and the session oracle
 (:mod:`tests.sim.session_oracle`) drive it, and the epoch kernels of
-:mod:`repro.sim.bus` must reproduce its float sequence exactly.  It
-reads ``repro.sim.bus._VECTOR_MIN`` at call time, so a test that
-monkeypatches the switchover reaches both forms.
+:mod:`repro.sim.bus` must reproduce its float sequence exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Dict, List
 
-from repro.sim import bus as bus_mod
-from repro.sim.bus import _EPS, advance_wide, eta_wide, refill_rates_wide
+from repro.sim.bus import _EPS
 
 _by_cap = operator.attrgetter("cap")
 
@@ -74,14 +71,6 @@ class FluidBus:
             for tr in active.values():
                 tr.rate = tr.cap if tr.cap <= budget else budget
             return
-        if n >= bus_mod._VECTOR_MIN:
-            # Vector twin: stable argsort over insertion order equals
-            # the stable sort of the dict's values.
-            transfers = list(active.values())
-            rates = refill_rates_wide([tr.cap for tr in transfers], budget)
-            for tr, rate in zip(transfers, rates):
-                tr.rate = rate
-            return
         transfers = sorted(active.values(), key=_by_cap)
         for i, tr in enumerate(transfers):
             fair = budget / (n - i)
@@ -92,14 +81,8 @@ class FluidBus:
 
     def eta(self) -> float:
         """Time until the next active transfer finishes (inf when idle)."""
-        active = self._active
-        if len(active) >= bus_mod._VECTOR_MIN:
-            return eta_wide(
-                [tr.remaining for tr in active.values()],
-                [tr.rate for tr in active.values()],
-            )
         best = float("inf")
-        for tr in active.values():
+        for tr in self._active.values():
             rate = tr.rate
             if rate > 0:
                 remaining = tr.remaining
@@ -116,21 +99,10 @@ class FluidBus:
             raise ValueError("cannot advance backwards")
         active = self._active
         finished: List[int] = []
-        if len(active) >= bus_mod._VECTOR_MIN:
-            transfers = list(active.values())
-            new_rem, fin = advance_wide(
-                [tr.remaining for tr in transfers],
-                [tr.rate for tr in transfers],
-                dt,
-            )
-            for tr, rem in zip(transfers, new_rem):
-                tr.remaining = rem
-            finished = [transfers[i].cid for i in fin]
-        else:
-            for tr in active.values():
-                tr.remaining -= tr.rate * dt
-                if tr.remaining <= _EPS:
-                    finished.append(tr.cid)
+        for tr in active.values():
+            tr.remaining -= tr.rate * dt
+            if tr.remaining <= _EPS:
+                finished.append(tr.cid)
         if finished:
             for cid in finished:
                 del active[cid]

@@ -21,7 +21,6 @@ from repro.compiler.program import CommandKind, Program, ProgramBuilder
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import SimSession
-from repro.sim import bus as bus_mod
 from repro.sim.simulator import _one_shot
 from repro.sim.trace import TraceEvent
 
@@ -209,9 +208,10 @@ def test_one_shot_faulted_runs_match_oracle(program, plan, seed, offset_us, heat
     assert new.faults == (None if plan.is_empty else ref.faults)
 
 
-def test_forced_vector_kernels_match_oracle(monkeypatch):
-    """With ``_VECTOR_MIN`` forced to 2 the session's bus runs on the
-    numpy twins (and the oracle's object bus too): still identical."""
+def test_dma_heavy_staggered_injections_match_oracle():
+    """Four DMA-heavy programs injected 0.05 us apart, then one injected
+    again after a limited run, crowd the shared bus: identical to the
+    oracle, clean and under stalls, throttling and a core death."""
     rng = random.Random(7)
     programs = []
     for _ in range(4):
@@ -241,7 +241,6 @@ def test_forced_vector_kernels_match_oracle(monkeypatch):
             CoreOffline(core=2, at_us=0.9),
         )
     )
-    monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 2)
     replay(programs, schedule)
     replay(programs, schedule, plan)
 

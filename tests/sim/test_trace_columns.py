@@ -1,4 +1,4 @@
-"""The columnar Trace and the vectorized bus kernels.
+"""The columnar Trace and the bus at every width.
 
 Three contracts pinned here:
 
@@ -8,11 +8,10 @@ Three contracts pinned here:
   same values;
 * field queries (``for_core``/``for_layer``/``of_kind``) build their
   per-column index once -- repeated queries must not re-scan;
-* the numpy bus kernels (``refill_rates_wide``/``advance_wide``/
-  ``eta_wide``) and the ``_VECTOR_MIN`` switchover in both the event
-  loop and :class:`~tests.sim.fluid_bus.FluidBus` are bit-identical to
-  the scalar paths, clean and faulted (stall windows interact with bus
-  integration), on uniform and heterogeneous DMA link caps.
+* the event loop's bus kernels are bit-identical to the object bus of
+  the retained event-driven core on heterogeneous DMA link caps, at the
+  1-3 transfers the unrolled branches take and at the 16 and more a
+  twelve-core machine reaches.
 """
 
 from __future__ import annotations
@@ -25,15 +24,13 @@ from hypothesis import given, settings
 
 from repro.compiler import CompileOptions
 from repro.compiler.program import CommandKind, ProgramBuilder
-from repro.faults import FaultPlan, ThermalThrottle, TransientStall
 from repro.hw import CoreConfig, NPUConfig
-from repro.sim import bus as bus_mod
+from repro.sim import session as session_mod
 from repro.sim import simulate
-from repro.sim.bus import advance_wide, eta_wide, refill_rates_wide
+from repro.sim.bus import refill_eta
 from repro.sim.trace import Trace
 
 from tests.sim.event_core import simulate_event_driven
-from tests.sim.fluid_bus import FluidBus
 from tests.sim.test_scheduler_equivalence import (
     _jittery_machine,
     _program_for,
@@ -133,77 +130,10 @@ class TestIndexCaching:
             assert trace.column("kind") is trace.column("kind")
 
 
-def _scalar_refill(caps, bandwidth):
-    """The eager water-filling loop, as FluidBus computes it."""
-    order = sorted(range(len(caps)), key=caps.__getitem__)
-    rates = [0.0] * len(caps)
-    budget = bandwidth
-    for pos, j in enumerate(order):
-        fair = budget / (len(caps) - pos)
-        rate = caps[j] if caps[j] <= fair else fair
-        rates[j] = rate
-        budget -= rate
-    return rates
-
-
-class TestWideKernels:
-    def test_refill_rates_wide_matches_scalar(self):
-        rng = random.Random(7)
-        for n in (1, 2, 3, 5, 17, 64):
-            caps = [rng.choice([4.0, 10.0, 10.0, 25.0, rng.uniform(0.1, 40.0)])
-                    for _ in range(n)]
-            assert refill_rates_wide(caps, 30.0) == _scalar_refill(caps, 30.0)
-
-    def test_advance_wide_matches_scalar(self):
-        rng = random.Random(11)
-        rem = [rng.uniform(0.0, 5000.0) for _ in range(40)]
-        rem[3] = 1e-7  # already under the finish epsilon
-        rates = [rng.uniform(0.0, 20.0) for _ in range(40)]
-        dt = 17.25
-        new, fin = advance_wide(rem, rates, dt)
-        expected = [r - rate * dt for r, rate in zip(rem, rates)]
-        assert new == expected
-        assert fin == [i for i, r in enumerate(expected) if r <= bus_mod._EPS]
-
-    def test_eta_wide_matches_scalar(self):
-        rem = [100.0, -0.5, 3.0, 12.0]
-        rates = [10.0, 2.0, 0.0, 6.0]
-        best = float("inf")
-        for r, rate in zip(rem, rates):
-            if rate > 0:
-                t = max(0.0, r) / rate
-                best = min(best, t)
-        assert eta_wide(rem, rates) == best
-        assert eta_wide([5.0], [0.0]) == float("inf")
-
-    def test_fluidbus_wide_paths_bit_identical(self, monkeypatch):
-        def drive(vector_min):
-            monkeypatch.setattr(bus_mod, "_VECTOR_MIN", vector_min)
-            rng = random.Random(3)
-            bus = FluidBus(30.0)
-            log = []
-            nxt = 0
-            for step in range(200):
-                if bus.num_active < 8 or rng.random() < 0.5:
-                    bus.add(nxt, rng.uniform(10.0, 800.0), rng.choice([4.0, 10.0, 25.0]))
-                    nxt += 1
-                eta = bus.eta()
-                log.append(("eta", eta))
-                if eta != float("inf"):
-                    finished = bus.advance(eta * rng.choice([0.5, 1.0, 1.0]))
-                    log.append(("fin", tuple(finished)))
-                log.append(("rates", tuple(sorted(bus.rates().items()))))
-            return log
-
-        wide = drive(2)
-        scalar = drive(10**9)
-        assert wide == scalar
-
-
 HETERO_CORES = (4.0, 25.0, 10.0, 10.0)
 
 
-def _hetero_machine() -> NPUConfig:
+def _hetero_machine(caps=HETERO_CORES) -> NPUConfig:
     """Per-core DMA link caps differ: the water-filling sort is not the
     identity, so the non-uniform refill path is exercised."""
     return NPUConfig(
@@ -218,7 +148,7 @@ def _hetero_machine() -> NPUConfig:
                 spatial_alignment=1,
                 compute_efficiency=1.0,
             )
-            for i, cap in enumerate(HETERO_CORES)
+            for i, cap in enumerate(caps)
         ),
         bus_bytes_per_cycle=24.0,
         frequency_ghz=1.0,
@@ -228,57 +158,54 @@ def _hetero_machine() -> NPUConfig:
     )
 
 
-class TestVectorMinSwitchover:
-    """Force the numpy kernels on at tiny in-flight counts and pin
-    bit-identity against the retained event-driven core."""
-
-    @pytest.mark.parametrize("model", ["InceptionV3", "UNet"])
-    def test_clean_equivalence_with_forced_vector_paths(self, model, monkeypatch):
-        monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 4)
-        program, machine = _program_for(model, CompileOptions.stratum_config())
-        for seed in (0, 1, 2):
-            flat = simulate(program, machine, seed=seed, memo=None)
-            event_driven = simulate_event_driven(program, machine, seed=seed)
-            assert_traces_identical(flat, event_driven)
-
-    def test_heterogeneous_caps_equivalence(self, monkeypatch):
-        npu = _hetero_machine()
-        builder = ProgramBuilder(len(HETERO_CORES))
-        rng = random.Random(12)
-        for i in range(60):
-            core = rng.randrange(len(HETERO_CORES))
-            if rng.random() < 0.4:
-                builder.add(core, CommandKind.COMPUTE, deps=[], macs=rng.randrange(5000))
-            else:
-                deps = [rng.randrange(i)] if i and rng.random() < 0.5 else []
-                builder.add(
-                    core,
-                    rng.choice([CommandKind.LOAD_INPUT, CommandKind.STORE_OUTPUT]),
-                    deps=deps,
-                    num_bytes=rng.randrange(1, 6000),
-                )
-            if i % 13 == 12:
-                builder.barrier(cycles=rng.randrange(100))
-        program = builder.build()
-        baseline = simulate(program, npu, seed=1, memo=None)
-        event_driven = simulate_event_driven(program, npu, seed=1)
-        assert_traces_identical(baseline, event_driven)
-        monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 2)
-        forced = simulate(program, npu, seed=1, memo=None)
-        assert_traces_identical(forced, baseline)
-
-    def test_faulted_equivalence_with_forced_vector_paths(self, monkeypatch):
-        """Stall windows interact with bus integration: a faulted run
-        must be unchanged by the wide-path switchover."""
-        plan = FaultPlan(
-            events=(
-                TransientStall(start_us=10.0, duration_us=200.0, core=0),
-                ThermalThrottle(cores=(1,)),
+def _random_bus_program(num_cores: int, num_commands: int, seed: int):
+    """Random LOAD/STORE/COMPUTE commands with a barrier every 13."""
+    builder = ProgramBuilder(num_cores)
+    rng = random.Random(seed)
+    for i in range(num_commands):
+        core = rng.randrange(num_cores)
+        if rng.random() < 0.4:
+            builder.add(core, CommandKind.COMPUTE, deps=[], macs=rng.randrange(5000))
+        else:
+            deps = [rng.randrange(i)] if i and rng.random() < 0.5 else []
+            builder.add(
+                core,
+                rng.choice([CommandKind.LOAD_INPUT, CommandKind.STORE_OUTPUT]),
+                deps=deps,
+                num_bytes=rng.randrange(1, 6000),
             )
-        )
-        program, machine = _program_for("InceptionV3", CompileOptions.stratum_config())
-        baseline = simulate(program, machine, seed=2, faults=plan, memo=None)
-        monkeypatch.setattr(bus_mod, "_VECTOR_MIN", 2)
-        forced = simulate(program, machine, seed=2, faults=plan, memo=None)
-        assert_traces_identical(forced, baseline)
-        assert forced.faults == baseline.faults
+        if i % 13 == 12:
+            builder.barrier(cycles=rng.randrange(100))
+    return builder.build()
+
+
+class TestVectorMinSwitchover:
+    """The flat core against the retained event-driven core on
+    heterogeneous DMA link caps, where the water-filling sort is live,
+    and on a bus wide enough to leave the unrolled kernels."""
+
+    def test_heterogeneous_caps_equivalence(self):
+        npu = _hetero_machine()
+        program = _random_bus_program(len(HETERO_CORES), 60, seed=12)
+        flat = simulate(program, npu, seed=1, memo=None)
+        event_driven = simulate_event_driven(program, npu, seed=1)
+        assert_traces_identical(flat, event_driven)
+
+    def test_wide_bus_equivalence(self, monkeypatch):
+        """Twelve cores keep up to 24 transfers on the bus; the general
+        refill/advance loop must match the object bus at that width."""
+        caps = HETERO_CORES * 3
+        npu = _hetero_machine(caps)
+        program = _random_bus_program(len(caps), 400, seed=5)
+        widest = [0]
+
+        def spy(cap, rem, rate, bw, uniform):
+            widest[0] = max(widest[0], len(cap))
+            return refill_eta(cap, rem, rate, bw, uniform)
+
+        monkeypatch.setattr(session_mod, "refill_eta", spy)
+        for seed in (0, 3):
+            flat = simulate(program, npu, seed=seed, memo=None)
+            event_driven = simulate_event_driven(program, npu, seed=seed)
+            assert_traces_identical(flat, event_driven)
+        assert widest[0] >= 16
