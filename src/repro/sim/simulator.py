@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,7 +54,7 @@ from repro.faults.plan import FaultPlan, FaultStats
 from repro.hw.config import NPUConfig
 from repro.sim import memo as memo_mod
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
-from repro.sim.trace import Trace, TraceColumns
+from repro.sim.trace import STATIC_FIELDS, Trace, TraceColumns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.session import SimSession
@@ -101,8 +102,9 @@ class _SimPlan:
     Everything here is derived from the command list and the machine
     description only: flattened engine queues, the reverse-dependency
     index, outstanding-dependency counts, fixed durations and DMA link
-    caps, plus the flattened (CSR-style) dependency index the columnar
-    trace derivation reduces over.  Per-seed jitter tables are layered
+    caps, the static trace fields as per-command columns, plus the
+    flattened (CSR-style) dependency index the columnar trace
+    derivation reduces over.  Per-seed jitter tables are layered
     on top by :meth:`delays_for` and cached, since serving and sweep
     workloads revisit a handful of seeds.
     """
@@ -119,10 +121,8 @@ class _SimPlan:
         "base_delay",
         "evkind",
         "dma_cap",
-        "num_bytes",
         "num_bytes_f",
         "jittered",
-        "trace_fields",
         "prev_q",
         "dep_flat",
         "dep_starts",
@@ -130,7 +130,6 @@ class _SimPlan:
         "own_flat",
         "own_starts",
         "own_cids",
-        "protos",
         "static_cols",
         "bounds",
         "_delay_cache",
@@ -171,12 +170,9 @@ class _SimPlan:
         self.base_delay = base_delay = [0.0] * total
         self.evkind = evkind = [_END] * total
         self.dma_cap = dma_cap = [0.0] * total
-        self.num_bytes = num_bytes = [0] * total
         self.num_bytes_f = num_bytes_f = [0.0] * total
         #: (cid, jitter bound) for commands that draw service-time jitter
         self.jittered: List[Tuple[int, float]] = []
-        trace_fields: List[Tuple] = [()] * total
-        self.trace_fields = trace_fields
         self._delay_cache: Dict[Tuple[int, int], List[float]] = {}
 
         sync_bound = npu.sync_jitter_cycles
@@ -208,25 +204,10 @@ class _SimPlan:
                 if cmd.num_bytes > 0:
                     evkind[cid] = _JOIN_BUS
                 dma_cap[cid] = npu.core(cmd.core).dma_bytes_per_cycle
-                num_bytes[cid] = cmd.num_bytes
                 num_bytes_f[cid] = float(cmd.num_bytes)
-            trace_fields[cid] = (
-                cid,
-                cmd.core,
-                cmd.engine,
-                kind,
-                cmd.layer,
-                cmd.tag,
-                cmd.num_bytes,
-                cmd.macs,
-            )
-        #: per-command static TraceEvent fields as prototype dicts; trace
-        #: materialization copies one and fills the four timing fields.
-        names = ("cid", "core", "engine", "kind", "layer", "tag", "num_bytes", "macs")
-        self.protos = [dict(zip(names, tf)) for tf in trace_fields]
-        #: the same fields as per-cid columns, for columnar gathers
+        #: the static TraceEvent fields as per-cid columns
         self.static_cols = {
-            name: [tf[i] for tf in trace_fields] for i, name in enumerate(names)
+            name: list(map(attrgetter(name), commands)) for name in STATIC_FIELDS
         }
 
         # Flattened dependency index (CSR layout, non-empty rows only):
@@ -472,6 +453,5 @@ def _finished_columns(
         end=done[order].tolist(),
         own_ready=r_own[order].tolist(),
         dep_ready=r_dep[order].tolist(),
-        protos=plan.protos,
         static=plan.static_cols,
     )

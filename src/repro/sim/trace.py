@@ -1,7 +1,7 @@
 """Execution traces: what ran where, when, and what it waited for.
 
 The trace is stored *columnar* (struct-of-arrays): parallel per-event
-sequences for the timing fields plus prototype dicts for the static
+sequences for the timing fields plus per-command columns for the static
 command fields.  :class:`TraceEvent` objects are **lazy views** -- the
 simulator cores never build them; ``trace.events`` materializes the
 list on first access and caches it, so consumers that only read columns
@@ -70,7 +70,7 @@ class TraceEvent:
 
 
 #: static TraceEvent fields, in declaration order -- the contract between
-#: prototype dicts, column names, and materialized events.
+#: the simulator's per-command columns and materialized events.
 STATIC_FIELDS = ("cid", "core", "engine", "kind", "layer", "tag", "num_bytes", "macs")
 TIMING_FIELDS = ("start", "end", "own_ready", "dep_ready")
 COLUMN_FIELDS = STATIC_FIELDS + TIMING_FIELDS
@@ -80,16 +80,12 @@ class TraceColumns:
     """Struct-of-arrays payload of one trace.
 
     ``cids``, ``start``, ``end``, ``own_ready`` and ``dep_ready`` are
-    equal-length parallel sequences in event order.  ``protos`` is
-    indexable by cid and yields the prototype dict of the eight static
-    TraceEvent fields (key order == field order, so a materialized
-    event's ``__dict__`` matches the frozen dataclass layout exactly).
-    ``static`` optionally maps static field names to per-cid sequences
-    for cheap column gathers; without it the gather falls back to the
-    prototype dicts.
+    equal-length parallel sequences in event order.  ``static`` maps
+    each of the eight static TraceEvent fields (:data:`STATIC_FIELDS`)
+    to a sequence indexable by cid.
     """
 
-    __slots__ = ("cids", "start", "end", "own_ready", "dep_ready", "protos", "static")
+    __slots__ = ("cids", "start", "end", "own_ready", "dep_ready", "static")
 
     def __init__(
         self,
@@ -98,15 +94,13 @@ class TraceColumns:
         end: Sequence[float],
         own_ready: Sequence[float],
         dep_ready: Sequence[float],
-        protos: Sequence[Dict[str, object]],
-        static: Optional[Mapping[str, Sequence[object]]] = None,
+        static: Mapping[str, Sequence[object]],
     ) -> None:
         self.cids = cids
         self.start = start
         self.end = end
         self.own_ready = own_ready
         self.dep_ready = dep_ready
-        self.protos = protos
         self.static = static
 
     def __len__(self) -> int:
@@ -118,12 +112,8 @@ class TraceColumns:
             return list(self.cids)
         if name in TIMING_FIELDS:
             return list(getattr(self, name))
-        static = self.static
-        if static is not None:
-            per_cid = static[name]
-            return [per_cid[cid] for cid in self.cids]
-        protos = self.protos
-        return [protos[cid][name] for cid in self.cids]
+        per_cid = self.static[name]
+        return [per_cid[cid] for cid in self.cids]
 
     def materialize(self) -> List[TraceEvent]:
         """Build the TraceEvent views (once; the Trace caches them).
@@ -131,8 +121,17 @@ class TraceColumns:
         ``object.__new__`` plus a direct ``__dict__`` swap skips the
         frozen-dataclass ``__init__``/``__setattr__`` machinery -- the
         hottest part of trace assembly at thousands of events per run.
+        The dict is built in field order, so it matches the dataclass
+        layout exactly.
         """
-        protos = self.protos
+        static = self.static
+        core = static["core"]
+        engine = static["engine"]
+        kind = static["kind"]
+        layer = static["layer"]
+        tag = static["tag"]
+        num_bytes = static["num_bytes"]
+        macs = static["macs"]
         new = object.__new__
         set_attr = object.__setattr__
         events: List[TraceEvent] = []
@@ -140,13 +139,21 @@ class TraceColumns:
         for cid, s, e, own, dep in zip(
             self.cids, self.start, self.end, self.own_ready, self.dep_ready
         ):
-            d = protos[cid].copy()
-            d["start"] = s
-            d["end"] = e
-            d["own_ready"] = own
-            d["dep_ready"] = dep
             ev = new(TraceEvent)
-            set_attr(ev, "__dict__", d)
+            set_attr(ev, "__dict__", {
+                "cid": cid,
+                "core": core[cid],
+                "engine": engine[cid],
+                "kind": kind[cid],
+                "layer": layer[cid],
+                "tag": tag[cid],
+                "num_bytes": num_bytes[cid],
+                "macs": macs[cid],
+                "start": s,
+                "end": e,
+                "own_ready": own,
+                "dep_ready": dep,
+            })
             append(ev)
         return events
 
@@ -234,7 +241,7 @@ class Trace:
 
     def __reduce__(self) -> Tuple[type, Tuple[List[TraceEvent]]]:
         # Pickle as the materialized event list: columnar payloads hold
-        # plan-owned prototype dicts (and possibly closures) that are
+        # plan-owned static columns (and possibly closures) that are
         # not worth shipping across process boundaries.
         return (Trace, (self.events,))
 

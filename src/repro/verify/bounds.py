@@ -201,7 +201,7 @@ def _durations(
     bw = npu.bus_bytes_per_cycle
     total_bytes = 0.0
     for cid in bus:
-        num_bytes = plan.num_bytes[cid]
+        num_bytes = plan.static_cols["num_bytes"][cid]
         cap = plan.dma_cap[cid]
         full = min(cap, bw)
         shared = min(cap, bw / n_dma_queues)

@@ -49,7 +49,6 @@ def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> Si
     indeg = list(plan.indeg0)
     evkind = plan.evkind
     dma_cap = plan.dma_cap
-    num_bytes = plan.num_bytes
     delay = plan.delays_for(seed)
 
     qhead = [0] * nq
@@ -157,12 +156,17 @@ def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> Si
             if kind == _END:
                 complete(cid, clock)
             else:
-                bus_add(cid, num_bytes[cid], dma_cap[cid])
+                bus_add(cid, commands[cid].num_bytes, dma_cap[cid])
 
-    trace_fields = plan.trace_fields
+    # The static fields come from the commands, not the plan, so they
+    # check the plan's trace columns independently.
     events = [
-        TraceEvent(*trace_fields[cid], r_start[cid], done_at[cid], r_own[cid], r_dep[cid])
-        for cid in range(total)
+        TraceEvent(
+            cmd.cid, cmd.core, cmd.engine, cmd.kind, cmd.layer, cmd.tag,
+            cmd.num_bytes, cmd.macs,
+            r_start[cmd.cid], done_at[cmd.cid], r_own[cmd.cid], r_dep[cmd.cid],
+        )
+        for cmd in commands
     ]
     trace = Trace(events=sorted(events, key=lambda e: (e.start, e.cid)))
     return SimResult(trace=trace, makespan_cycles=trace.makespan, npu=npu)

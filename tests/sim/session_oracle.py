@@ -56,7 +56,6 @@ def _finished_columns(
         end=[done_at[c] for c in order],
         own_ready=[r_own[c] for c in order],
         dep_ready=[r_dep[c] for c in order],
-        protos=plan.protos,
         static=plan.static_cols,
     )
 
@@ -607,7 +606,7 @@ class OracleSession:
                             continue
                     iid, cid = payload
                     inj = self._active[iid]
-                    bus_add(payload, inj.plan.num_bytes[cid], inj.plan.dma_cap[cid])
+                    bus_add(payload, inj.commands[cid].num_bytes, inj.plan.dma_cap[cid])
             if stop_on_completion and self._completions:
                 break
 
@@ -639,7 +638,6 @@ def simulate_faulted_oracle(
     indeg = list(splan.indeg0)
     evkind = splan.evkind
     dma_cap = splan.dma_cap
-    num_bytes = splan.num_bytes
 
     # Queue geometry the clean loop does not need: the owning core of
     # each queue and each command's position within its queue (for
@@ -891,7 +889,7 @@ def simulate_faulted_oracle(
                     heappush(heap, (until, seq, _JOIN_BUS, payload))
                     seq += 1
                 else:
-                    bus_add(payload, num_bytes[payload], dma_cap[payload])
+                    bus_add(payload, commands[payload].num_bytes, dma_cap[payload])
 
     for core in throttled_cores:
         cool(core, clock)
