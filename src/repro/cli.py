@@ -795,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="verify compiled SPM working sets")
     common(p)
-    p.add_argument("--tolerance", type=float, default=1.0)
+    p.add_argument("--tolerance", type=_at_least(float, 0, strict=True), default=1.0)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
@@ -826,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lowest severity that makes the exit code nonzero "
         "(default: error)",
     )
-    p.add_argument("--tolerance", type=float, default=1.0,
+    p.add_argument("--tolerance", type=_at_least(float, 0, strict=True), default=1.0,
                    help="SPM capacity tolerance factor")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--verbose", action="store_true",
@@ -872,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=sorted(STRATEGIES), default="beam+anneal",
     )
     p.add_argument(
-        "--budget", type=int, default=64,
+        "--budget", type=_at_least(int, 1), default=64,
         help="max distinct candidate evaluations (default 64)",
     )
     p.add_argument(

@@ -19,6 +19,7 @@ deprecation shim is gone); :func:`check_spm` wraps it as a verifier pass.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.compiler.program import CommandKind
@@ -71,8 +72,12 @@ def audit_spm(
 
     ``tolerance`` scales the capacity (1.0 = strict); the compiler's
     accounting is tile-granular, so small transients above 1.0x indicate
-    modeling slack rather than bugs.
+    modeling slack rather than bugs.  It must be finite and positive:
+    NaN or infinity would pass every sub-layer and zero would flag them
+    all, so those raise ``ValueError``.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"SPM tolerance must be finite and > 0, got {tolerance!r}")
     program = compiled.program
     npu = compiled.npu
     graph = compiled.graph

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import pytest
 
 from repro.analysis import audit_spm, peak_spm_per_core
 from repro.compiler import CompileOptions, compile_model
@@ -53,6 +54,12 @@ class TestAudit:
         _, loose = audit_spm(m, tolerance=100.0)
         assert len(loose) <= len(strict)
         assert loose == []
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        m = compile_model(make_chain_graph(), machine(), CompileOptions.base())
+        with pytest.raises(ValueError, match="tolerance"):
+            audit_spm(m, tolerance=tolerance)
 
     def test_violation_str(self):
         npu = machine()

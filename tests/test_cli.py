@@ -272,6 +272,25 @@ class TestAutotune:
             main(["autotune", "stem", "--config", "1core"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["autotune", "stem", "--budget", "0"],
+        ["lint", "stem", "--config", "base", "--tolerance", "nan"],
+        ["lint", "stem", "--config", "base", "--tolerance", "inf"],
+        ["lint", "stem", "--config", "base", "--tolerance", "0"],
+        ["audit", "stem", "--config", "base", "--tolerance", "nan"],
+        ["audit", "stem", "--config", "base", "--tolerance", "inf"],
+        ["audit", "stem", "--config", "base", "--tolerance", "0"],
+    ],
+)
+def test_out_of_range_budget_and_tolerance_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+
 class TestServe:
     def test_compare_all_policies(self, capsys):
         assert (
