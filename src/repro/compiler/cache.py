@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.compiler.compiler import CompiledModel, compile_model
 from repro.compiler.options import CompileOptions
 from repro.hw.config import NPUConfig
-from repro.hw.serialize import machine_to_dict
+from repro.hw.serialize import machine_fingerprint
 from repro.ir.graph import Graph
 
 
@@ -77,11 +77,6 @@ def graph_fingerprint(graph: Graph) -> str:
         for layer in graph.layers()
     ]
     return _digest([graph.name, layers])
-
-
-def machine_fingerprint(npu: NPUConfig) -> str:
-    """Content hash of a machine description."""
-    return _digest(machine_to_dict(npu))
 
 
 def options_fingerprint(options: CompileOptions) -> str:

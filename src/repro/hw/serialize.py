@@ -7,6 +7,8 @@ script against it -- the hardware/software co-design workflow of
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import pathlib
 from typing import Dict, Union
@@ -47,6 +49,16 @@ def machine_to_dict(npu: NPUConfig) -> Dict:
             for c in npu.cores
         ],
     }
+
+
+@functools.lru_cache(maxsize=None)
+def machine_fingerprint(npu: NPUConfig) -> str:
+    """Content hash of a machine description: the sha256 of its
+    sorted-key JSON document.  Compiled-program cache keys and
+    simulation memo keys both name a machine by it.  Cached per
+    description: machines are few and hashable."""
+    text = json.dumps(machine_to_dict(npu), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def machine_from_dict(data: Dict) -> NPUConfig:

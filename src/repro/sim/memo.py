@@ -37,10 +37,9 @@ for classic memoize-everything behavior.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
-from repro.hw.serialize import machine_to_dict
+from repro.hw.serialize import machine_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.compiler.program import Program
@@ -49,9 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: attribute under which a program caches its own fingerprint
 _FP_ATTR = "_sim_fingerprint"
-
-#: machine descriptions are few and hashable; fingerprints are cached here
-_machine_fps: Dict["NPUConfig", str] = {}
 
 #: sentinel: "use the process-wide default memo" (``None`` disables)
 USE_DEFAULT_MEMO = object()
@@ -82,18 +78,6 @@ def program_fingerprint(program: "Program") -> str:
     ).hexdigest()
     program._sim_fingerprint = (commands, len(commands), digest)  # type: ignore[attr-defined]
     return digest
-
-
-def machine_fingerprint(npu: "NPUConfig") -> str:
-    """Content hash of a machine description (shared with the compiler
-    cache's notion of machine identity: the serialized config)."""
-    fp = _machine_fps.get(npu)
-    if fp is None:
-        fp = hashlib.sha256(
-            json.dumps(machine_to_dict(npu), sort_keys=True).encode()
-        ).hexdigest()
-        _machine_fps[npu] = fp
-    return fp
 
 
 def clean_key(program: "Program", npu: "NPUConfig", seed: int) -> Tuple:

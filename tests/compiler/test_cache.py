@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.sim
 from repro.compiler import (
     CompileOptions,
     ProgramCache,
@@ -39,6 +40,8 @@ class TestFingerprints:
         assert machine_fingerprint(tiny_test_machine(2)) != machine_fingerprint(
             tiny_test_machine(3)
         )
+        # Compile keys and simulation memo keys name a machine alike.
+        assert machine_fingerprint is repro.sim.machine_fingerprint
 
     def test_options_fingerprint_distinguishes_presets(self):
         prints = {
