@@ -43,6 +43,20 @@ VARIANTS = [
 _runs = {}
 
 
+def _window(trace):
+    """(two-layer span, exposed halo wait, stem_conv1 input-load bytes)."""
+    positions = [p for layer in LAYERS for p in trace.positions("layer", layer)]
+    starts, ends, kinds, num_bytes = map(trace.column, ("start", "end", "kind", "num_bytes"))
+    span = max(ends[p] for p in positions) - min(starts[p] for p in positions)
+    halo_wait = exposed_waits(trace, LAYERS).get(CommandKind.HALO_RECV, 0.0)
+    loads = sum(
+        num_bytes[p]
+        for p in trace.positions("layer", "stem_conv1")
+        if kinds[p] is CommandKind.LOAD_INPUT
+    )
+    return span, halo_wait, loads
+
+
 def _run(npu, name):
     if name not in _runs:
         opts = dict(VARIANTS)[name]
@@ -57,11 +71,7 @@ def test_fig12_variant(benchmark, npu, variant):
     compiled, sim = benchmark.pedantic(
         lambda: _run(npu, variant), rounds=1, iterations=1
     )
-    events = sim.trace.for_layers(LAYERS)
-    halo_wait = sum(
-        e.remote_wait for e in events if e.kind is CommandKind.HALO_RECV
-    )
-    span = max(e.end for e in events) - min(e.start for e in events)
+    span, halo_wait, _ = _window(sim.trace)
     benchmark.extra_info["two_layer_span_cycles"] = round(span)
     benchmark.extra_info["exposed_halo_wait_cycles"] = round(halo_wait)
 
@@ -76,16 +86,7 @@ def test_fig12_report(benchmark, npu, out_dir):
     input_loads = {}
     for name, _ in VARIANTS:
         compiled, sim = _run(npu, name)
-        events = sim.trace.for_layers(LAYERS)
-        spans[name] = max(e.end for e in events) - min(e.start for e in events)
-        halo_stalls[name] = sum(
-            e.remote_wait for e in events if e.kind is CommandKind.HALO_RECV
-        )
-        input_loads[name] = sum(
-            e.num_bytes
-            for e in events
-            if e.kind is CommandKind.LOAD_INPUT and e.layer == "stem_conv1"
-        )
+        spans[name], halo_stalls[name], input_loads[name] = _window(sim.trace)
         gantt = render_gantt(sim.trace, npu.num_cores, width=96, layers=LAYERS)
         waits = exposed_waits(sim.trace, LAYERS)
         wait_text = ", ".join(

@@ -147,7 +147,7 @@ def measure_sim_throughput(npu) -> Dict[str, float]:
         )
     )
 
-    events_per_run = len(result.trace.events)
+    events_per_run = len(result.trace)
     events = events_per_run * SIM_ROUNDS
     flat_elapsed = elapsed["flat"]
     return {

@@ -13,10 +13,9 @@ Usage::
     python benchmarks/profile_sim.py --events   # profile trace reads too
 
 By default only the simulation itself is profiled -- with the columnar
-trace that means the event loop plus makespan.  ``--events`` adds one
-``trace.events`` read plus a ``collect_stats`` pass to the profiled
-region, exposing the lazy column-derivation and materialization costs
-that consumers pay on first access.
+trace that means the event loop plus makespan.  ``--events`` adds a
+``collect_stats`` pass to the profiled region: the deferred column
+derivation a trace pays on its first read, then the stats pass itself.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def main() -> int:
     parser.add_argument(
         "--events",
         action="store_true",
-        help="also profile trace.events materialization and collect_stats",
+        help="also profile trace column derivation and collect_stats",
     )
     args = parser.parse_args()
 
@@ -73,7 +72,6 @@ def main() -> int:
     def one_run(seed: int) -> None:
         result = simulate(program, machine, seed=seed, memo=None)
         if args.events:
-            result.trace.events
             collect_stats(result.trace, machine)
 
     profiler = cProfile.Profile()
@@ -85,7 +83,7 @@ def main() -> int:
     events = len(program.commands)
     print(
         f"{args.model} / {args.config} (seed {args.seed}, {args.runs} cold runs, "
-        f"{events} events/run{', +events+stats' if args.events else ''})"
+        f"{events} events/run{', +columns+stats' if args.events else ''})"
     )
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)

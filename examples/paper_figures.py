@@ -10,6 +10,7 @@ Figure 12 halo-first accounting.  Takes ~15 s.
 import statistics
 
 from repro.analysis import (
+    exposed_waits,
     format_table,
     region_summary,
     run_configuration,
@@ -126,15 +127,16 @@ def figure12(npu):
     ):
         compiled = compile_model(stem, npu, opts)
         trace = simulate(compiled.program, npu).trace
-        events = trace.for_layers(layers)
-        span = max(e.end for e in events) - min(e.start for e in events)
-        stall = sum(
-            e.remote_wait for e in events if e.kind is CommandKind.HALO_RECV
+        positions = [p for layer in layers for p in trace.positions("layer", layer)]
+        starts, ends, kinds, num_bytes = map(
+            trace.column, ("start", "end", "kind", "num_bytes")
         )
+        span = max(ends[p] for p in positions) - min(starts[p] for p in positions)
+        stall = exposed_waits(trace, layers).get(CommandKind.HALO_RECV, 0.0)
         loads = sum(
-            e.num_bytes
-            for e in events
-            if e.kind is CommandKind.LOAD_INPUT and e.layer == layers[1]
+            num_bytes[p]
+            for p in trace.positions("layer", layers[1])
+            if kinds[p] is CommandKind.LOAD_INPUT
         )
         rows.append(
             [label, f"{span:,.0f}cy", f"{stall:,.0f}cy", f"{loads:,}B"]

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.program import CommandKind, Engine, Program
 from repro.hw.config import NPUConfig
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import Trace
 
 _EPS = 1e-6
 
@@ -142,15 +142,25 @@ def walk_bindings(
 
 @dataclasses.dataclass(frozen=True)
 class PathSegment:
-    """One command on the critical path."""
+    """One command on the critical path, with its simulated times."""
 
-    event: TraceEvent
+    cid: int
+    core: int
+    kind: CommandKind
+    layer: str
+    tag: str
+    start: float
+    end: float
     #: how this command's start was bound: 'dep', 'engine', or 'ready'
     bound_by: str
 
     @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+    @property
     def category(self) -> str:
-        return category_of(self.event.kind)
+        return category_of(self.kind)
 
 
 @dataclasses.dataclass
@@ -169,7 +179,7 @@ class CriticalPath:
         """
         totals: Dict[str, float] = {}
         for seg in self.segments:
-            totals[seg.category] = totals.get(seg.category, 0.0) + seg.event.duration
+            totals[seg.category] = totals.get(seg.category, 0.0) + seg.duration
         # time not covered by path segments (waits inside the chain).
         covered = sum(totals.values())
         if self.makespan_cycles > covered + _EPS:
@@ -179,46 +189,49 @@ class CriticalPath:
     def layers(self) -> List[str]:
         seen: List[str] = []
         for seg in self.segments:
-            if seg.event.layer and (not seen or seen[-1] != seg.event.layer):
-                seen.append(seg.event.layer)
+            if seg.layer and (not seen or seen[-1] != seg.layer):
+                seen.append(seg.layer)
         return seen
 
 
 def critical_path(program: Program, trace: Trace) -> CriticalPath:
     """Extract the critical path of a simulated run."""
-    if not trace.events:
+    if not len(trace):
         return CriticalPath(segments=[], makespan_cycles=0.0)
-    events = {e.cid: e for e in trace.events}
+    cids, cores, kinds, layers, tags, starts, ends = map(
+        trace.column, ("cid", "core", "kind", "layer", "tag", "start", "end")
+    )
+    pos_of = {cid: p for p, cid in enumerate(cids)}
     commands = {c.cid: c for c in program.commands}
     engine_prev = engine_predecessors(program)
 
-    current: Optional[int] = max(trace.events, key=lambda e: e.end).cid
+    current: Optional[int] = cids[max(range(len(ends)), key=ends.__getitem__)]
     segments: List[PathSegment] = []
     guard = 0
-    while current is not None and guard <= len(events):
+    while current is not None and guard <= len(pos_of):
         guard += 1
-        e = events[current]
-        cmd = commands[current]
-        binding: Optional[int] = None
+        p = pos_of[current]
+        start = starts[p]
+        dep_ends = [(ends[pos_of[d]], d) for d in commands[current].deps]
         bound_by = "ready"
         # a dependency that completed exactly at our start binds us;
         # ties resolve deterministically (latest end, then lowest cid).
-        binding = _bind_dep([(events[d].end, d) for d in cmd.deps], e.start)
+        binding = _bind_dep(dep_ends, start)
         if binding is not None:
             bound_by = "dep"
         else:
             prev = engine_prev[current]
-            if prev >= 0 and abs(events[prev].end - e.start) <= _EPS:
+            if prev >= 0 and abs(ends[pos_of[prev]] - start) <= _EPS:
                 binding = prev
                 bound_by = "engine"
-        if binding is None:
+        if binding is None and dep_ends and start > _EPS:
             # started when its own latency allowed: pick the latest-ending
-            # dependency (if any) to keep walking toward t=0.
-            dep_ends = [(events[d].end, d) for d in cmd.deps]
-            if dep_ends and e.start > _EPS:
-                binding = max(dep_ends)[1]
-                bound_by = "dep"
-        segments.append(PathSegment(event=e, bound_by=bound_by))
+            # dependency to keep walking toward t=0.
+            binding = max(dep_ends)[1]
+            bound_by = "dep"
+        segments.append(PathSegment(
+            current, cores[p], kinds[p], layers[p], tags[p], start, ends[p], bound_by
+        ))
         current = binding
 
     return CriticalPath(segments=segments, makespan_cycles=trace.makespan)
@@ -239,14 +252,13 @@ def render_critical_path(
     )
     rows = []
     for seg in path.segments[:max_rows]:
-        e = seg.event
         rows.append(
             [
-                f"{e.layer}{('.' + e.tag) if e.tag else ''}",
-                e.kind.value,
-                f"core{e.core}",
-                f"{npu.cycles_to_us(e.start):,.1f}",
-                f"{npu.cycles_to_us(e.duration):,.1f}us",
+                f"{seg.layer}{('.' + seg.tag) if seg.tag else ''}",
+                seg.kind.value,
+                f"core{seg.core}",
+                f"{npu.cycles_to_us(seg.start):,.1f}",
+                f"{npu.cycles_to_us(seg.duration):,.1f}us",
                 seg.bound_by,
             ]
         )

@@ -34,6 +34,10 @@ _COLOR = {
     CommandKind.BARRIER: "grey",
 }
 
+_FIELDS = (
+    "layer", "tag", "kind", "core", "engine", "start", "end", "own_ready", "num_bytes", "macs"
+)
+
 
 def to_chrome_trace(trace: Trace, npu: NPUConfig) -> Dict:
     """Build the trace-event JSON object for ``trace``."""
@@ -57,24 +61,26 @@ def to_chrome_trace(trace: Trace, npu: NPUConfig) -> Dict:
                     "args": {"name": engine.value},
                 }
             )
-    for e in trace.events:
-        if e.end <= e.start:
+    for layer, tag, kind, core, engine, start, end, own_ready, num_bytes, macs in zip(
+        *map(trace.column, _FIELDS)
+    ):
+        if end <= start:
             continue
         events.append(
             {
-                "name": f"{e.layer}{('.' + e.tag) if e.tag else ''}",
-                "cat": e.kind.value,
+                "name": f"{layer}{('.' + tag) if tag else ''}",
+                "cat": kind.value,
                 "ph": "X",
-                "pid": e.core,
-                "tid": _TRACK_OF_ENGINE[e.engine],
-                "ts": npu.cycles_to_us(e.start),
-                "dur": npu.cycles_to_us(e.end - e.start),
-                "cname": _COLOR.get(e.kind, "generic_work"),
+                "pid": core,
+                "tid": _TRACK_OF_ENGINE[engine],
+                "ts": npu.cycles_to_us(start),
+                "dur": npu.cycles_to_us(end - start),
+                "cname": _COLOR.get(kind, "generic_work"),
                 "args": {
-                    "kind": e.kind.value,
-                    "bytes": e.num_bytes,
-                    "macs": e.macs,
-                    "remote_wait_cycles": round(e.remote_wait, 1),
+                    "kind": kind.value,
+                    "bytes": num_bytes,
+                    "macs": macs,
+                    "remote_wait_cycles": round(max(0.0, start - own_ready), 1),
                 },
             }
         )

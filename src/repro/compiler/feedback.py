@@ -75,11 +75,12 @@ def measure_layer_imbalances(
     """Per-layer, per-core busy cycles (compute work of the sub-layer)."""
     cycles: Dict[str, List[float]] = {}
     n = compiled.npu.num_cores
-    for event in trace.events:
-        if event.kind is not CommandKind.COMPUTE or not event.layer:
+    layers, cores, starts, ends = map(trace.column, ("layer", "core", "start", "end"))
+    for p in trace.positions("kind", CommandKind.COMPUTE):
+        if not layers[p]:
             continue
-        per_core = cycles.setdefault(event.layer, [0.0] * n)
-        per_core[event.core] += event.duration
+        per_core = cycles.setdefault(layers[p], [0.0] * n)
+        per_core[cores[p]] += ends[p] - starts[p]
     return {
         name: LayerImbalance(layer=name, core_cycles=tuple(per_core))
         for name, per_core in cycles.items()

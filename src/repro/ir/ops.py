@@ -12,7 +12,7 @@ Every operator knows three families of facts, all consumed by the compiler:
 
 The reference (functional) semantics live in :mod:`repro.runtime.reference`;
 operators here only expose metadata plus a ``weight_shape`` so the reference
-executor can materialize synthetic weights.
+executor can generate synthetic weights.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from repro.sim.stats import (
     collect_stats,
     count_barrier_groups,
 )
-from repro.sim.trace import Trace, TraceEvent
+from repro.sim.trace import Trace
 
 __all__ = [
     "CoreStats",
@@ -50,7 +50,6 @@ __all__ = [
     "SimResult",
     "SimSession",
     "Trace",
-    "TraceEvent",
     "collect_stats",
     "count_barrier_groups",
     "default_memo",

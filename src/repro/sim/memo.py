@@ -21,8 +21,9 @@ share one entry, and a clean run never aliases a faulted one.
 shares the clean entry by construction.
 
 Cached :class:`~repro.sim.simulator.SimResult` objects are returned
-*shared*: callers must treat traces as immutable (they already are --
-``TraceEvent`` is frozen and nothing in the repo mutates event lists).
+*shared*: callers must treat traces as immutable (nothing in the repo
+writes to a trace's columns; :meth:`~repro.sim.trace.Trace.column`
+hands every caller the same cached list).
 
 The default process-wide memo only invests memory in keys that repeat:
 a key is recorded on its first miss and the simulation result is stored

@@ -614,9 +614,7 @@ class SimSession:
             self._spare.setdefault(n, []).append(base)
         start = self._start[base:end]
         free_at = self._free_at[base:end]
-        trace = Trace(
-            columns=lambda: _finished_columns(plan, finished, start, done, free_at)
-        )
+        trace = Trace(lambda: _finished_columns(plan, finished, start, done, free_at))
         if inj.solo and self.check_bounds:
             from repro.verify.bounds import bounds_for
 

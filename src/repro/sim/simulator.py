@@ -205,7 +205,7 @@ class _SimPlan:
                     evkind[cid] = _JOIN_BUS
                 dma_cap[cid] = npu.core(cmd.core).dma_bytes_per_cycle
                 num_bytes_f[cid] = float(cmd.num_bytes)
-        #: the static TraceEvent fields as per-cid columns
+        #: the static trace fields (trace.STATIC_FIELDS) as per-cid columns
         self.static_cols = {
             name: list(map(attrgetter(name), commands)) for name in STATIC_FIELDS
         }

@@ -149,10 +149,7 @@ def count_barrier_groups(trace: Trace) -> int:
 def collect_stats(trace: Trace, npu: NPUConfig) -> RunStats:
     """Aggregate a trace into :class:`RunStats`.
 
-    Reads the trace's columns directly (no TraceEvent materialization).
-    The per-core accumulations walk event positions in event order, so
-    every float sum sees the exact operand sequence of the event-object
-    scan this replaces.
+    Every per-core sum adds its events in event order.
     """
     makespan = trace.makespan
     kind_col = trace.column("kind")

@@ -27,7 +27,6 @@ _EPS = 1e-6
 def check_trace(program: Program, trace: Trace) -> PassResult:
     """Cross-check one simulated trace against its program."""
     result = PassResult(name="trace")
-    # Column reads only: verification never materializes TraceEvents.
     cid_col = trace.column("cid")
     start_col = trace.column("start")
     end_col = trace.column("end")

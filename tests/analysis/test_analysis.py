@@ -142,9 +142,9 @@ class TestGantt:
         assert "core0" in text
 
     def test_empty(self):
-        from repro.sim.trace import Trace
+        from tests.sim.trace_rows import trace_of
 
-        assert render_gantt(Trace([]), 1) == "(empty trace)"
+        assert render_gantt(trace_of([]), 1) == "(empty trace)"
 
     def test_exposed_waits(self, sweep):
         waits = exposed_waits(sweep["Base"].sim.trace)

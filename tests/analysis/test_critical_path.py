@@ -21,7 +21,7 @@ class TestHandBuiltChains:
         program = b.build()
         trace = simulate(program, npu).trace
         path = critical_path(program, trace)
-        cids = [seg.event.cid for seg in path.segments]
+        cids = [seg.cid for seg in path.segments]
         assert cids == [st, cp, ld]
         assert [seg.bound_by for seg in path.segments] == ["dep", "dep", "ready"]
 
@@ -33,8 +33,8 @@ class TestHandBuiltChains:
         program = b.build()
         trace = simulate(program, npu).trace
         path = critical_path(program, trace)
-        assert path.segments[0].event.cid == slow
-        assert all(seg.event.core == 1 for seg in path.segments)
+        assert path.segments[0].cid == slow
+        assert all(seg.core == 1 for seg in path.segments)
 
     def test_engine_serialization_detected(self):
         npu = tiny_test_machine(1)
@@ -44,7 +44,7 @@ class TestHandBuiltChains:
         program = b.build()
         trace = simulate(program, npu).trace
         path = critical_path(program, trace)
-        assert path.segments[0].event.cid == tail
+        assert path.segments[0].cid == tail
         assert path.segments[0].bound_by == "engine"
 
     def test_empty_trace(self):
@@ -66,12 +66,12 @@ class TestRealPrograms:
     def test_path_starts_at_makespan(self, run):
         npu, compiled, sim = run
         path = critical_path(compiled.program, sim.trace)
-        assert path.segments[0].event.end == pytest.approx(sim.trace.makespan)
+        assert path.segments[0].end == pytest.approx(sim.trace.makespan)
 
     def test_path_is_time_monotone(self, run):
         npu, compiled, sim = run
         path = critical_path(compiled.program, sim.trace)
-        starts = [seg.event.start for seg in path.segments]
+        starts = [seg.start for seg in path.segments]
         assert starts == sorted(starts, reverse=True) or all(
             a >= b - 1e-6 for a, b in zip(starts, starts[1:])
         )
@@ -119,10 +119,10 @@ class TestTieBreaking:
         npu = tiny_test_machine(2)
         trace = simulate(program, npu).trace
         path = critical_path(program, trace)
-        assert path.segments[0].event.cid == x
+        assert path.segments[0].cid == x
         # dep beats engine; among the tied deps c0 < c1 wins.
         assert path.segments[0].bound_by == "dep"
-        assert path.segments[1].event.cid == c0
+        assert path.segments[1].cid == c0
 
     def test_static_mode_matches_trace_mode(self):
         from repro.analysis import longest_path_times, walk_bindings
@@ -144,8 +144,8 @@ class TestTieBreaking:
         trace = simulate(program, npu).trace
         a = critical_path(program, trace)
         b2 = critical_path(program, trace)
-        assert [s.event.cid for s in a.segments] == [
-            s.event.cid for s in b2.segments
+        assert [s.cid for s in a.segments] == [
+            s.cid for s in b2.segments
         ]
         assert [s.bound_by for s in a.segments] == [
             s.bound_by for s in b2.segments

@@ -6,14 +6,14 @@ exactly one simulator cycle, making every expected makespan readable.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.compiler.program import CommandKind, ProgramBuilder
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import SimSession, simulate
+
+from tests.sim.trace_rows import rows
 
 
 def machine(cores: int = 1, **core_kw) -> NPUConfig:
@@ -54,7 +54,7 @@ def compute_program(cores: int = 1, macs: int = 10_000, per_core: int = 1):
 
 
 def trace_tuples(result):
-    return [dataclasses.astuple(e) for e in result.trace.events]
+    return rows(result.trace)
 
 
 class TestCleanEquivalence:
@@ -196,7 +196,7 @@ class TestCoreOffline:
         assert stats.failed
         assert stats.dead_cores == (0,)
         assert len(stats.abandoned_cids) == 1
-        assert {e.core for e in result.trace.events} == {1}
+        assert set(result.trace.column("core")) == {1}
         assert result.makespan_cycles == pytest.approx(250.0)
 
     def test_mid_run_death_aborts_running_command(self):
@@ -204,7 +204,7 @@ class TestCoreOffline:
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=50.0),))
         result = simulate(compute_program(macs=20_000), npu, faults=plan)
         assert result.faults.abandoned_cids == (0,)
-        assert result.trace.events == []
+        assert len(result.trace) == 0
 
     def test_doom_propagates_through_dependencies(self):
         npu = machine(2)
@@ -215,7 +215,7 @@ class TestCoreOffline:
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=50.0),))
         result = simulate(b.build(), npu, faults=plan)
         assert len(result.faults.abandoned_cids) == 2
-        assert len(result.trace.events) == 1
+        assert len(result.trace) == 1
 
     def test_doom_propagates_to_queue_successors(self):
         """In-order streams cannot run past an abandoned command."""
@@ -227,7 +227,7 @@ class TestCoreOffline:
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=50.0),))
         result = simulate(b.build(), npu, faults=plan)
         assert len(result.faults.abandoned_cids) == 3
-        assert result.trace.events == []
+        assert len(result.trace) == 0
 
     def test_in_flight_on_live_core_completes(self):
         """A started command whose deps are done survives the producer core."""

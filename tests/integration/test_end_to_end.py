@@ -80,8 +80,9 @@ class TestMobileNetEndToEnd:
 
     def test_no_command_starts_before_deps_finish(self, mobilenet_results):
         compiled, sim, _ = mobilenet_results["+Stratum"]
-        end_of = {e.cid: e.end for e in sim.trace.events}
-        start_of = {e.cid: e.start for e in sim.trace.events}
+        cids = sim.trace.column("cid")
+        end_of = dict(zip(cids, sim.trace.column("end")))
+        start_of = dict(zip(cids, sim.trace.column("start")))
         for cmd in compiled.program.commands:
             for dep in cmd.deps:
                 assert end_of[dep] <= start_of[cmd.cid] + 1e-6
@@ -91,8 +92,10 @@ class TestMobileNetEndToEnd:
         from collections import defaultdict
 
         by_engine = defaultdict(list)
-        for e in sim.trace.events:
-            by_engine[(e.core, e.engine)].append((e.start, e.end))
+        for core, engine, start, end in zip(
+            *map(sim.trace.column, ("core", "engine", "start", "end"))
+        ):
+            by_engine[(core, engine)].append((start, end))
         for spans in by_engine.values():
             spans.sort()
             for (s1, e1), (s2, e2) in zip(spans, spans[1:]):

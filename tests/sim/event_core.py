@@ -21,9 +21,9 @@ from typing import List, Tuple
 from repro.compiler.program import Program
 from repro.hw.config import NPUConfig
 from repro.sim.simulator import _EPS, _END, SimResult, _plan_for
-from repro.sim.trace import Trace, TraceEvent
 
 from tests.sim.fluid_bus import FluidBus
+from tests.sim.trace_rows import oracle_trace
 
 
 def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> SimResult:
@@ -160,13 +160,5 @@ def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> Si
 
     # The static fields come from the commands, not the plan, so they
     # check the plan's trace columns independently.
-    events = [
-        TraceEvent(
-            cmd.cid, cmd.core, cmd.engine, cmd.kind, cmd.layer, cmd.tag,
-            cmd.num_bytes, cmd.macs,
-            r_start[cmd.cid], done_at[cmd.cid], r_own[cmd.cid], r_dep[cmd.cid],
-        )
-        for cmd in commands
-    ]
-    trace = Trace(events=sorted(events, key=lambda e: (e.start, e.cid)))
+    trace = oracle_trace(commands, r_start, done_at, r_own, r_dep)
     return SimResult(trace=trace, makespan_cycles=trace.makespan, npu=npu)

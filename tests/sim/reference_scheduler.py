@@ -23,9 +23,9 @@ from repro.compiler.program import Command, CommandKind, Engine, Program
 from repro.cost.compute import compute_cycles
 from repro.hw.config import NPUConfig
 from repro.sim.simulator import _EPS, _END, _JOIN_BUS
-from repro.sim.trace import Trace, TraceEvent
 
 from tests.sim.fluid_bus import FluidBus
+from tests.sim.trace_rows import oracle_trace
 
 
 class _Running:
@@ -59,13 +59,15 @@ def simulate_reference(program: Program, npu: NPUConfig, seed: int = 0):
 
     done_at: Dict[int, float] = {}
     running: Dict[int, _Running] = {}
-    events: List[TraceEvent] = []
+    total = len(program.commands)
+    r_start = [0.0] * total
+    r_own = [0.0] * total
+    r_dep = [0.0] * total
 
     heap: List[Tuple[float, int, int, int]] = []  # (time, seq, evkind, cid)
     seq = 0
     bus = FluidBus(npu.bus_bytes_per_cycle)
     clock = 0.0
-    total = len(program.commands)
 
     core_of = {c.cid: c.core for c in program.commands}
 
@@ -138,22 +140,9 @@ def simulate_reference(program: Program, npu: NPUConfig, seed: int = 0):
         key = (cmd.core, cmd.engine)
         engine_busy[key] = False
         engine_free_at[key] = now
-        events.append(
-            TraceEvent(
-                cid=cid,
-                core=cmd.core,
-                engine=cmd.engine,
-                kind=cmd.kind,
-                layer=cmd.layer,
-                tag=cmd.tag,
-                num_bytes=cmd.num_bytes,
-                macs=cmd.macs,
-                start=run.start,
-                end=now,
-                own_ready=run.own_ready,
-                dep_ready=run.dep_ready,
-            )
-        )
+        r_start[cid] = run.start
+        r_own[cid] = run.own_ready
+        r_dep[cid] = run.dep_ready
 
     while len(done_at) < total:
         if try_start(clock):
@@ -193,5 +182,6 @@ def simulate_reference(program: Program, npu: NPUConfig, seed: int = 0):
                 cmd = running[cid].cmd
                 bus.add(cid, cmd.num_bytes, npu.core(cmd.core).dma_bytes_per_cycle)
 
-    trace = Trace(events=sorted(events, key=lambda e: (e.start, e.cid)))
+    done = [done_at[cid] for cid in range(total)]
+    trace = oracle_trace(program.commands, r_start, done, r_own, r_dep)
     return SimResult(trace=trace, makespan_cycles=trace.makespan, npu=npu)

@@ -10,9 +10,9 @@ from repro.sim import (
     estimate_energy,
     simulate,
 )
-from repro.sim.trace import Trace
 
 from tests.conftest import make_chain_graph, make_mixed_graph
+from tests.sim.trace_rows import trace_of
 
 
 def run(graph, npu, opts):
@@ -34,7 +34,7 @@ class TestModelValidation:
 class TestEstimate:
     def test_empty_trace_zero(self):
         npu = tiny_test_machine(1)
-        report = estimate_energy(Trace([]), npu)
+        report = estimate_energy(trace_of([]), npu)
         assert report.total_uj == 0.0
         assert report.average_power_mw == 0.0
 

@@ -12,8 +12,6 @@ so the event loop itself is exercised, not a cached result.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +21,7 @@ from repro.models import ZOO
 from repro.sim import SimSession, simulate
 
 from tests.sim.event_core import simulate_event_driven
+from tests.sim.trace_rows import rows
 from tests.sim.test_scheduler_equivalence import (
     CONFIGS,
     SEEDS,
@@ -95,7 +94,7 @@ class TestSession:
     event loop's exact outcome."""
 
     def _events(self, trace):
-        return [dataclasses.astuple(e) for e in trace.events]
+        return rows(trace)
 
     def test_fast_path_outcome_bit_identical_to_loop(self):
         """A second solo injection of the same (program, seed) is served

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
@@ -22,6 +20,7 @@ from repro.sim.memo import clean_key, faulted_key
 from repro.sim.simulator import SimResult
 
 from tests.conftest import make_mixed_graph
+from tests.sim.trace_rows import rows
 
 
 def chain_program(n: int = 6, nbytes: int = 1000):
@@ -37,7 +36,7 @@ def chain_program(n: int = 6, nbytes: int = 1000):
 
 
 def events_of(result):
-    return [dataclasses.astuple(e) for e in result.trace.events]
+    return rows(result.trace)
 
 
 @pytest.fixture(scope="module")

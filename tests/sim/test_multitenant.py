@@ -176,23 +176,24 @@ class TestAccountingRegressions:
         its absolute completion time."""
         from repro.compiler.program import CommandKind, Engine
         from repro.sim.multitenant import trace_span
-        from repro.sim.trace import Trace, TraceEvent
+
+        from tests.sim.trace_rows import Row, trace_of
 
         def ev(cid, core, layer, start, end):
-            return TraceEvent(
+            return Row(
                 cid=cid, core=core, engine=Engine.COMPUTE,
                 kind=CommandKind.COMPUTE, layer=layer, tag="",
                 num_bytes=0, macs=1, start=start, end=end,
                 own_ready=start, dep_ready=start,
             )
 
-        a = Trace([ev(0, 0, "c1", 0.0, 100.0), ev(1, 0, "c2", 100.0, 200.0)])
-        b = Trace([ev(0, 1, "c1", 150.0, 300.0), ev(1, 1, "c2", 300.0, 420.0)])
+        a = trace_of([ev(0, 0, "c1", 0.0, 100.0), ev(1, 0, "c2", 100.0, 200.0)])
+        b = trace_of([ev(0, 1, "c1", 150.0, 300.0), ev(1, 1, "c2", 300.0, 420.0)])
         assert trace_span(a) == (0.0, 200.0)
         assert trace_span(b) == (150.0, 420.0)
         # span (latency) for b is 270 cycles, completion is 420.
         assert trace_span(b)[1] - trace_span(b)[0] == pytest.approx(270.0)
-        assert trace_span(Trace([])) == (0.0, 0.0)
+        assert trace_span(trace_of([])) == (0.0, 0.0)
 
     def test_completion_at_least_latency(self, npu):
         result = run_concurrent(

@@ -1,9 +1,9 @@
 """The event-driven scheduler is bit-identical to the reference scheduler.
 
-:mod:`repro.sim.simulator` promises the exact same ``TraceEvent`` stream
-as the retained queue-scanning reference in
-:mod:`tests.sim.reference_scheduler` for equal seeds -- not just equal
-makespans.  These tests pin that down across the full model zoo, the
+:mod:`repro.sim.simulator` promises the exact same events -- all twelve
+trace columns of every event, in event order -- as the retained
+queue-scanning reference in :mod:`tests.sim.reference_scheduler` for
+equal seeds, not just equal makespans.  These tests pin that down across the full model zoo, the
 four paper configurations, three seeds, and hypothesis-generated random
 programs on a jitter-bearing machine.
 """
@@ -22,6 +22,7 @@ from repro.models import ZOO
 from repro.sim import simulate
 
 from tests.sim.reference_scheduler import simulate_reference
+from tests.sim.trace_rows import rows
 
 SEEDS = (0, 1, 2)
 CONFIGS = (
@@ -49,8 +50,9 @@ def _program_for(model_name: str, options: CompileOptions):
 def assert_traces_identical(a, b) -> None:
     """Event-by-event equality, with a readable diff on mismatch."""
     assert a.makespan_cycles == b.makespan_cycles
-    assert len(a.trace.events) == len(b.trace.events)
-    for x, y in zip(a.trace.events, b.trace.events):
+    a_rows, b_rows = rows(a.trace), rows(b.trace)
+    assert len(a_rows) == len(b_rows)
+    for x, y in zip(a_rows, b_rows):
         assert x == y, f"trace diverges at cid={x.cid}: {x} != {y}"
 
 

@@ -12,6 +12,7 @@ from repro.sim import SimSession, place_program, simulate, sub_machine
 from repro.sim.session import InjectionOutcome
 
 from tests.conftest import make_chain_graph, make_mixed_graph
+from tests.sim.trace_rows import rows
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +36,7 @@ def placed(npu, cores, label):
 
 
 def events_of(trace):
-    return [
-        (e.cid, e.core, e.start, e.end, e.own_ready, e.dep_ready)
-        for e in trace.events
-    ]
+    return rows(trace)
 
 
 class TestBitIdentity:
@@ -154,7 +152,7 @@ class TestFaultedSession:
         session.inject(prog, at_us=5.0, seed=0, label="a")
         (out,) = session.run_until(stop_on_completion=False)
         assert out.failed
-        assert out.trace.events == []
+        assert len(out.trace) == 0
 
     def test_survivor_completes_after_other_core_dies(self, npu):
         plan = FaultPlan(events=(CoreOffline(core=0, at_us=1.0),))
@@ -166,7 +164,7 @@ class TestFaultedSession:
         by = {o.label: o for o in outcomes}
         assert by["d"].failed
         assert not by["s"].failed
-        assert by["s"].trace.events
+        assert len(by["s"].trace)
 
     def test_empty_fault_plan_is_clean(self, npu, full_program):
         ref = simulate(full_program, npu, seed=0)
@@ -196,7 +194,7 @@ class TestEmptyInjection:
         (out,) = session.run_until()
         assert out.label == "e" and out.origin_us == 3.0
         assert out.completed_at_cycles == out.injected_at_cycles == 0.0
-        assert not out.failed and out.trace.events == []
+        assert not out.failed and len(out.trace) == 0
 
     def test_faulted_session_completes_at_injection(self, npu):
         """Not when the next fault event fires (core 0 dies at 5000 cycles)."""

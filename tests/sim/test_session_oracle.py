@@ -22,13 +22,12 @@ from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import SimSession
 from repro.sim.simulator import _one_shot
-from repro.sim.trace import TraceEvent
 
 from tests.sim.session_oracle import OracleSession, simulate_faulted_oracle
 from tests.sim.test_scheduler_equivalence import random_program
+from tests.sim.trace_rows import rows
 
 NUM_CORES = 4
-COLUMNS = [f.name for f in dataclasses.fields(TraceEvent)]
 #: per-core DMA link caps differ, so the water-filling sort is exercised
 DMA_CAPS = (4.0, 25.0, 10.0, 10.0)
 
@@ -118,10 +117,6 @@ def fault_plans(draw):
     return FaultPlan(events=tuple(events))
 
 
-def _events(trace):
-    return [dataclasses.astuple(e) for e in trace.events]
-
-
 def assert_outcomes_equal(new, ref) -> None:
     assert len(new) == len(ref)
     for a, b in zip(new, ref):
@@ -130,9 +125,7 @@ def assert_outcomes_equal(new, ref) -> None:
             "completed_at_cycles", "failed", "num_abandoned", "meta",
         ):
             assert getattr(a, field) == getattr(b, field), field
-        assert _events(a.trace) == _events(b.trace)
-        for name in COLUMNS:
-            assert a.trace.column(name) == b.trace.column(name), name
+        assert rows(a.trace) == rows(b.trace)
         assert len(a.abandoned_cids) == a.num_abandoned
 
 
@@ -203,7 +196,7 @@ def test_one_shot_faulted_runs_match_oracle(program, plan, seed, offset_us, heat
         program, npu, seed=seed, plan=plan, initial_heat=heat, time_offset_us=offset_us
     )
     assert new.makespan_cycles == ref.makespan_cycles
-    assert _events(new.trace) == _events(ref.trace)
+    assert rows(new.trace) == rows(ref.trace)
     # An empty plan is a clean run, which reports no fault stats.
     assert new.faults == (None if plan.is_empty else ref.faults)
 

@@ -165,9 +165,11 @@ class TestBarrierSemantics:
         b.add(1, CommandKind.COMPUTE, macs=9000)
         b.barrier(cycles=5.0)
         result = simulate(b.build(), npu)
+        trace = result.trace
+        cores, starts, own_ready = map(trace.column, ("core", "start", "own_ready"))
         waits = {
-            e.core: e.remote_wait
-            for e in result.trace.of_kind(CommandKind.BARRIER)
+            cores[p]: max(0.0, starts[p] - own_ready[p])
+            for p in trace.positions("kind", CommandKind.BARRIER)
         }
         gap = compute_cycles(9000, npu.core(1)) - compute_cycles(1000, npu.core(0))
         assert waits[0] == pytest.approx(gap)

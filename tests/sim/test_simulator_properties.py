@@ -7,6 +7,8 @@ from repro.cost.compute import compute_cycles
 from repro.hw import CoreConfig, NPUConfig
 from repro.sim import simulate
 
+from tests.sim.trace_rows import rows
+
 
 def machine(cores: int) -> NPUConfig:
     return NPUConfig(
@@ -68,16 +70,19 @@ def test_simulation_terminates_and_is_causal(prog_cores):
     trace = result.trace
     assert len(trace) == len(program)
 
-    end = {e.cid: e.end for e in trace.events}
-    start = {e.cid: e.start for e in trace.events}
+    cids, starts, ends, cores, engines = map(
+        trace.column, ("cid", "start", "end", "core", "engine")
+    )
+    end = dict(zip(cids, ends))
+    start = dict(zip(cids, starts))
     for cmd in program.commands:
         # causality: no command starts before its dependencies end.
         for dep in cmd.deps:
             assert end[dep] <= start[cmd.cid] + 1e-6
     # engines never overlap themselves.
     spans = {}
-    for e in trace.events:
-        spans.setdefault((e.core, e.engine), []).append((e.start, e.end))
+    for core, engine, s, e in zip(cores, engines, starts, ends):
+        spans.setdefault((core, engine), []).append((s, e))
     for lst in spans.values():
         lst.sort()
         for (s1, e1), (s2, e2) in zip(lst, lst[1:]):
@@ -116,5 +121,4 @@ def test_simulation_deterministic(prog_cores, seed):
     a = simulate(program, npu, seed=seed)
     b = simulate(program, npu, seed=seed)
     assert a.makespan_cycles == b.makespan_cycles
-    for x, y in zip(a.trace.events, b.trace.events):
-        assert x == y
+    assert rows(a.trace) == rows(b.trace)

@@ -2,12 +2,12 @@
 
 Three contracts pinned here:
 
-* the struct-of-arrays :class:`~repro.sim.trace.Trace` materializes
-  :class:`~repro.sim.trace.TraceEvent` views byte-identical to the
-  event-list representation, and both answer every query API with the
-  same values;
-* field queries (``for_core``/``for_layer``/``of_kind``) build their
-  per-column index once -- repeated queries must not re-scan;
+* the flat core's :class:`~repro.sim.trace.Trace` holds, column for
+  column and event for event, the trace the retained event-driven core
+  builds from the program's commands, and both answer every query the
+  same way; equality and pickling go through all twelve columns;
+* :meth:`~repro.sim.trace.Trace.positions` builds its per-column index
+  once -- repeated queries must not re-scan;
 * the event loop's bus kernels are bit-identical to the object bus of
   the retained event-driven core on heterogeneous DMA link caps, at the
   1-3 transfers the unrolled branches take and at the 16 and more a
@@ -28,7 +28,7 @@ from repro.hw import CoreConfig, NPUConfig
 from repro.sim import session as session_mod
 from repro.sim import simulate
 from repro.sim.bus import refill_eta
-from repro.sim.trace import Trace
+from repro.sim.trace import COLUMN_FIELDS, Trace
 
 from tests.sim.event_core import simulate_event_driven
 from tests.sim.test_scheduler_equivalence import (
@@ -37,95 +37,119 @@ from tests.sim.test_scheduler_equivalence import (
     assert_traces_identical,
     random_program,
 )
+from tests.sim.trace_rows import rows, trace_of
 
 
-def _columnar_and_event_traces(seed: int = 0):
+def _columnar_and_oracle_traces(seed: int = 0):
     program, machine = _program_for("InceptionV3", CompileOptions.stratum_config())
     columnar = simulate(program, machine, seed=seed, memo=None).trace
-    event_built = simulate_event_driven(program, machine, seed=seed).trace
-    return columnar, event_built
+    oracle = simulate_event_driven(program, machine, seed=seed).trace
+    return columnar, oracle
 
 
 class TestColumnarEquivalence:
-    def test_materialized_events_identical(self):
-        columnar, event_built = _columnar_and_event_traces()
-        assert len(columnar) == len(event_built)
-        for a, b in zip(columnar.events, event_built.events):
+    def test_rows_identical(self):
+        columnar, oracle = _columnar_and_oracle_traces()
+        assert len(columnar) == len(oracle)
+        for a, b in zip(rows(columnar), rows(oracle)):
             assert a == b, f"diverges at cid={a.cid}"
 
     def test_columns_match_event_attributes(self):
-        columnar, event_built = _columnar_and_event_traces()
-        for field in ("cid", "core", "kind", "layer", "start", "end",
-                      "own_ready", "dep_ready", "num_bytes", "macs"):
-            expected = [getattr(e, field) for e in event_built.events]
-            assert columnar.column(field) == expected, field
-            assert event_built.column(field) == expected, field
+        columnar, oracle = _columnar_and_oracle_traces()
+        for field in COLUMN_FIELDS:
+            assert columnar.column(field) == oracle.column(field), field
+        assert columnar == oracle
 
     def test_query_apis_agree(self):
-        columnar, event_built = _columnar_and_event_traces()
-        assert columnar.makespan == event_built.makespan
+        columnar, oracle = _columnar_and_oracle_traces()
+        assert columnar.makespan == oracle.makespan
         for core in range(4):
-            assert columnar.for_core(core) == event_built.for_core(core)
-            assert columnar.busy_intervals(core) == event_built.busy_intervals(core)
-            assert columnar.busy_time(core) == event_built.busy_time(core)
-        layers = {e.layer for e in event_built.events}
-        some = sorted(layers)[:3]
-        for layer in some:
-            assert columnar.for_layer(layer) == event_built.for_layer(layer)
-        assert columnar.for_layers(some) == event_built.for_layers(some)
+            assert columnar.positions("core", core) == oracle.positions("core", core)
+            assert columnar.busy_intervals(core) == oracle.busy_intervals(core)
+            assert columnar.busy_time(core) == oracle.busy_time(core)
+        for layer in sorted(set(oracle.column("layer")))[:3]:
+            assert columnar.positions("layer", layer) == oracle.positions("layer", layer)
         for kind in (CommandKind.COMPUTE, CommandKind.BARRIER, CommandKind.HALO_RECV):
-            assert columnar.of_kind(kind) == event_built.of_kind(kind)
+            assert columnar.positions("kind", kind) == oracle.positions("kind", kind)
 
     @settings(max_examples=40, deadline=None)
     @given(random_program())
-    def test_random_programs_materialize_identically(self, prog_cores):
+    def test_random_programs_rows_identical(self, prog_cores):
         program, cores = prog_cores
         npu = _jittery_machine(cores)
         for seed in (0, 2):
             columnar = simulate(program, npu, seed=seed, memo=None).trace
-            event_built = simulate_event_driven(program, npu, seed=seed).trace
-            assert columnar.events == event_built.events
-            # The rebuilt event-list trace round-trips to the same columns.
-            rebuilt = Trace(list(columnar.events))
-            for field in ("cid", "start", "end", "own_ready", "dep_ready"):
-                assert rebuilt.column(field) == columnar.column(field)
+            oracle = simulate_event_driven(program, npu, seed=seed).trace
+            assert rows(columnar) == rows(oracle)
+            # A trace rebuilt from the rows holds the same columns.
+            assert trace_of(rows(columnar)) == columnar
+
+    def test_equality_reads_every_column(self):
+        columnar, _ = _columnar_and_oracle_traces()
+        events = rows(columnar)
+        assert trace_of(events) == columnar
+        assert trace_of(events[:-1]) != columnar
+        last = events[-1]
+        for field in COLUMN_FIELDS:
+            value = getattr(last, field)
+            if isinstance(value, (int, float)):
+                changed = value + 1
+            elif isinstance(value, str):
+                changed = value + "x"
+            else:  # engine and kind enums
+                changed = next(v for v in type(value) if v is not value)
+            forged = trace_of(events[:-1] + [last._replace(**{field: changed})])
+            assert forged != columnar, field
 
     def test_pickle_roundtrip(self):
-        columnar, _ = _columnar_and_event_traces()
+        columnar, _ = _columnar_and_oracle_traces()
         clone = pickle.loads(pickle.dumps(columnar))
         assert clone == columnar
         assert clone.makespan == columnar.makespan
 
-    def test_positional_events_and_validation(self):
-        empty = Trace([])
-        assert len(empty) == 0 and empty.makespan == 0.0 and empty.events == []
+    def test_empty_trace_and_validation(self):
+        empty = trace_of([])
+        assert len(empty) == 0 and empty.makespan == 0.0
+        assert rows(empty) == [] and empty.positions("core", 0) == []
         with pytest.raises(TypeError):
-            Trace()
-        columnar, _ = _columnar_and_event_traces()
+            Trace()  # type: ignore[call-arg]
         with pytest.raises(TypeError):
-            Trace(events=columnar.events, columns=lambda: None)
+            Trace(events=[])  # type: ignore[call-arg]
+
+    def test_deferred_columns_built_on_first_read(self):
+        columnar, _ = _columnar_and_oracle_traces()
+        builds = []
+
+        def build():
+            builds.append(1)
+            return columnar._columns()
+
+        deferred = Trace(build)
+        assert builds == []
+        assert deferred == columnar and len(deferred) == len(columnar)
+        assert builds == [1]
 
 
 class TestIndexCaching:
     def test_repeated_queries_do_not_rescan(self):
-        columnar, event_built = _columnar_and_event_traces()
-        for trace in (columnar, event_built):
+        columnar, oracle = _columnar_and_oracle_traces()
+        for trace in (columnar, oracle):
             assert trace.index_builds == 0
             for _ in range(5):
-                trace.for_core(0)
-                trace.for_core(1)
-                trace.for_core(99)  # absent values must not rebuild either
+                trace.positions("core", 0)
+                trace.positions("core", 1)
+                trace.positions("core", 99)  # absent values must not rebuild either
             assert trace.index_builds == 1
             for _ in range(5):
-                trace.for_layer("nope")
-                trace.for_layers(["nope", "also-nope"])
-                trace.of_kind(CommandKind.COMPUTE)
+                trace.positions("layer", "nope")
+                trace.positions("layer", "also-nope")
+                trace.positions("kind", CommandKind.COMPUTE)
             # one index per queried column: core, layer, kind
             assert trace.index_builds == 3
 
     def test_columns_are_cached_objects(self):
-        columnar, event_built = _columnar_and_event_traces()
-        for trace in (columnar, event_built):
+        columnar, oracle = _columnar_and_oracle_traces()
+        for trace in (columnar, oracle):
             assert trace.column("start") is trace.column("start")
             assert trace.column("kind") is trace.column("kind")
 

@@ -5,7 +5,8 @@ import pytest
 from repro.compiler.program import CommandKind, Engine
 from repro.hw import tiny_test_machine
 from repro.sim.stats import collect_stats
-from repro.sim.trace import Trace, TraceEvent
+
+from tests.sim.trace_rows import Row, trace_of
 
 
 def event(cid, core, kind, start, end, nbytes=0, macs=0, layer="l", own_ready=None):
@@ -18,7 +19,7 @@ def event(cid, core, kind, start, end, nbytes=0, macs=0, layer="l", own_ready=No
         CommandKind.HALO_SEND: Engine.STORE,
         CommandKind.BARRIER: Engine.CTRL,
     }[kind]
-    return TraceEvent(
+    return Row(
         cid=cid,
         core=core,
         engine=engine,
@@ -36,7 +37,7 @@ def event(cid, core, kind, start, end, nbytes=0, macs=0, layer="l", own_ready=No
 
 class TestTrace:
     def test_makespan(self):
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.COMPUTE, 0, 10),
                 event(1, 0, CommandKind.COMPUTE, 10, 25),
@@ -45,7 +46,7 @@ class TestTrace:
         assert trace.makespan == 25
 
     def test_busy_intervals_merge(self):
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.LOAD_INPUT, 0, 10, nbytes=1),
                 event(1, 0, CommandKind.COMPUTE, 5, 20, macs=1),
@@ -56,7 +57,7 @@ class TestTrace:
         assert trace.busy_time(0) == 25
 
     def test_busy_time_by_engine(self):
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.LOAD_INPUT, 0, 10, nbytes=1),
                 event(1, 0, CommandKind.COMPUTE, 5, 20, macs=1),
@@ -66,26 +67,31 @@ class TestTrace:
         assert trace.busy_time(0, Engine.COMPUTE) == 15
 
     def test_filters(self):
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.COMPUTE, 0, 1, layer="a"),
                 event(1, 1, CommandKind.COMPUTE, 0, 1, layer="b"),
             ]
         )
-        assert len(trace.for_core(0)) == 1
-        assert len(trace.for_layer("b")) == 1
-        assert len(trace.for_layers(["a", "b"])) == 2
-        assert len(trace.of_kind(CommandKind.COMPUTE)) == 2
+        assert trace.positions("core", 0) == [0]
+        assert trace.positions("layer", "b") == [1]
+        assert trace.positions("kind", CommandKind.COMPUTE) == [0, 1]
+        assert trace.positions("kind", CommandKind.BARRIER) == []
 
     def test_remote_wait(self):
-        e = event(0, 0, CommandKind.BARRIER, 10, 15, own_ready=4)
-        assert e.remote_wait == 6
-        assert e.duration == 5
+        """A barrier that could start at 4 on its own core but started
+        at 10 waited 6 cycles on other cores; with its 5-cycle duration
+        it costs 11 cycles of synchronization."""
+        npu = tiny_test_machine(1)
+        trace = trace_of([event(0, 0, CommandKind.BARRIER, 10, 15, own_ready=4)])
+        stats = collect_stats(trace, npu)
+        assert stats.sync_overhead_samples == (11,)
+        assert stats.cores[0].sync_wait_cycles == 11
 
 
 class TestStats:
     def make_trace(self):
-        return Trace(
+        return trace_of(
             [
                 event(0, 0, CommandKind.LOAD_INPUT, 0, 10, nbytes=100),
                 event(1, 0, CommandKind.LOAD_WEIGHT, 10, 12, nbytes=20),
@@ -113,7 +119,7 @@ class TestStats:
         transfer total must ignore both, and the halo total must count
         the payload once, not twice."""
         npu = tiny_test_machine(2)
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.LOAD_INPUT, 0, 10, nbytes=100),
                 event(1, 0, CommandKind.HALO_SEND, 10, 12, nbytes=64),
@@ -154,7 +160,7 @@ class TestStats:
         tenant's core group; each group must count as one barrier even
         on a machine with more cores."""
         npu = tiny_test_machine(4)
-        trace = Trace(
+        trace = trace_of(
             [
                 # tenant a: one barrier across cores 0-1.
                 event(0, 0, CommandKind.BARRIER, 10, 15, layer="a/c2"),
@@ -169,7 +175,7 @@ class TestStats:
     def test_repeated_same_label_barriers(self):
         """Two emissions with an identical label still count twice."""
         npu = tiny_test_machine(2)
-        trace = Trace(
+        trace = trace_of(
             [
                 event(0, 0, CommandKind.BARRIER, 0, 5, layer="l"),
                 event(1, 1, CommandKind.BARRIER, 0, 5, layer="l"),
@@ -200,7 +206,7 @@ class TestStats:
 
     def test_empty_trace(self):
         npu = tiny_test_machine(1)
-        stats = collect_stats(Trace([]), npu)
+        stats = collect_stats(trace_of([]), npu)
         assert stats.latency_us == 0.0
         assert stats.performance == 0.0
 

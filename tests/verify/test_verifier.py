@@ -8,13 +8,14 @@ from repro.compiler import CompileOptions, compile_model
 from repro.hw import exynos2100_like
 from repro.models import inception_v3_stem
 from repro.sim import simulate
-from repro.sim.trace import Trace
 from repro.verify import (
     PASS_NAMES,
     VerificationError,
     check_trace,
     verify_model,
 )
+
+from tests.sim.trace_rows import rows, trace_of
 
 
 class TestPassSelection:
@@ -68,26 +69,26 @@ class TestTraceCrossCheck:
 
     def test_dependency_violation_detected(self, stratum_chain):
         result = simulate(stratum_chain.program, stratum_chain.npu)
-        events = list(result.trace.events)
+        events = rows(result.trace)
         # Forge an event that starts before one of its dependencies ends.
         victim_index, victim = next(
             (i, e)
             for i, e in enumerate(events)
             if stratum_chain.program.command(e.cid).deps and e.start > 0
         )
-        events[victim_index] = dataclasses.replace(victim, start=0.0)
-        forged = Trace(events=events)
+        events[victim_index] = victim._replace(start=0.0)
+        forged = trace_of(events)
         check = check_trace(stratum_chain.program, forged)
         assert any(d.code in ("RPR601", "RPR602") for d in check.diagnostics)
 
     def test_missing_event_detected(self, stratum_chain):
         result = simulate(stratum_chain.program, stratum_chain.npu)
-        truncated = Trace(events=result.trace.events[:-1])
+        truncated = trace_of(rows(result.trace)[:-1])
         check = check_trace(stratum_chain.program, truncated)
         assert any(d.code == "RPR603" for d in check.diagnostics)
 
     def test_duplicate_event_detected(self, stratum_chain):
         result = simulate(stratum_chain.program, stratum_chain.npu)
-        doubled = Trace(events=result.trace.events + result.trace.events[-1:])
+        doubled = trace_of(rows(result.trace) + rows(result.trace)[-1:])
         check = check_trace(stratum_chain.program, doubled)
         assert any(d.code == "RPR603" for d in check.diagnostics)
