@@ -66,18 +66,16 @@ def _machine(spec: str):
 def _at_least(kind: type, low: float, strict: bool = False):
     """An argparse ``type=`` for a finite number ``>= low`` (``> low``
     when ``strict``); anything else exits 2 with a message."""
-    bound = f"{'>' if strict else '>='} {low}"
+    noun = "an integer" if kind is int else "a finite number"
+    wanted = f"{noun} {'>' if strict else '>='} {low}"
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            noun = "an integer" if kind is int else "a number"
-            raise argparse.ArgumentTypeError(
-                f"expected {noun} {bound}, got {text!r}"
-            ) from None
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}") from None
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
     return parse
@@ -763,12 +761,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--energy", action="store_true", help="print energy estimate")
     p.add_argument(
-        "--gantt", type=int, nargs="?", const=100, default=0,
+        "--gantt", type=_at_least(int, 1), nargs="?", const=100, default=0,
         metavar="WIDTH", help="print an ASCII Gantt chart",
     )
     p.add_argument("--chrome-trace", metavar="PATH", help="export chrome://tracing JSON")
     p.add_argument(
-        "--top-layers", type=int, nargs="?", const=10, default=0,
+        "--top-layers", type=_at_least(int, 1), nargs="?", const=10, default=0,
         metavar="N", help="print the N hottest layers",
     )
     p.add_argument(

@@ -37,6 +37,12 @@ class TestWindow:
             if line.startswith("core"):
                 assert line.index("]") - line.index("[") == 34
 
+    @pytest.mark.parametrize("width", [0, -5])
+    def test_width_below_one_rejected(self, run, width):
+        npu, _, sim = run
+        with pytest.raises(ValueError, match="width of at least 1"):
+            render_gantt(sim.trace, 2, width=width)
+
     def test_halo_glyphs_present(self, run):
         npu, _, sim = run
         text = render_gantt(sim.trace, 2, width=120)

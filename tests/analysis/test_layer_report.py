@@ -61,6 +61,14 @@ class TestTopLayers:
         with pytest.raises(ValueError):
             top_layers(sim.trace, npu, by="vibes")
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_layer_rejected(self, run, n):
+        npu, _, sim = run
+        with pytest.raises(ValueError, match="at least one layer"):
+            top_layers(sim.trace, npu, n=n)
+        with pytest.raises(ValueError, match="at least one layer"):
+            render_layer_report(sim.trace, npu, n=n)
+
     def test_render(self, run):
         npu, _, sim = run
         text = render_layer_report(sim.trace, npu, n=4)
