@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis import render_autotune_comparison
 from repro.analysis.autotune import autotune_summary

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
-from repro.compiler.lowering import exec_regions_for
 from repro.models import get_model
 from repro.partition import partition_graph
 from repro.schedule import build_strata, schedule_layers

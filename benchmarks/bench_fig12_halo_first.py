@@ -10,8 +10,6 @@ variant plus the exposed-wait accounting.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.analysis import exposed_waits, render_gantt

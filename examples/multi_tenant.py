@@ -10,8 +10,6 @@ interference between them.  A second experiment oversubscribes the bus
 deliberately to show where isolation breaks down.
 """
 
-import dataclasses
-
 from repro.analysis import format_table
 from repro.compiler import CompileOptions
 from repro.hw import exynos2100_like, homogeneous

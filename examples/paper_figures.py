@@ -14,7 +14,6 @@ from repro.analysis import (
     format_table,
     region_summary,
     run_configuration,
-    speedups,
     sweep_configurations,
     table4_profiles,
 )

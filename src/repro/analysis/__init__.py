@@ -3,7 +3,6 @@
 from repro.analysis.critical_path import (
     CriticalPath,
     critical_path,
-    engine_predecessors,
     longest_path_times,
     render_critical_path,
     walk_bindings,
@@ -73,7 +72,6 @@ __all__ = [
     "ConfigResult",
     "CriticalPath",
     "critical_path",
-    "engine_predecessors",
     "longest_path_times",
     "render_critical_path",
     "walk_bindings",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.program import CommandKind, Engine, Program
+from repro.compiler.program import CommandKind, Program
 from repro.hw.config import NPUConfig
 from repro.sim.trace import Trace
 
@@ -43,25 +43,6 @@ def category_of(kind: CommandKind) -> str:
     if kind in (CommandKind.HALO_SEND, CommandKind.HALO_RECV):
         return "halo"
     return "dma"
-
-
-def engine_predecessors(program: Program) -> List[int]:
-    """In-queue predecessor of every command (-1 for queue heads).
-
-    Commands on one (core, engine) queue execute strictly in program
-    order, so each command has an implicit edge from its predecessor on
-    the same queue -- the edge set both the simulator and the static
-    longest path run over, alongside the explicit dependency edges.
-    """
-    prev = [-1] * len(program.commands)
-    last_on: Dict[Tuple[int, Engine], int] = {}
-    for cmd in program.commands:
-        key = (cmd.core, cmd.engine)
-        p = last_on.get(key)
-        if p is not None:
-            prev[cmd.cid] = p
-        last_on[key] = cmd.cid
-    return prev
 
 
 def _bind_dep(dep_ends: Sequence[Tuple[float, int]], start: float) -> Optional[int]:
@@ -97,7 +78,7 @@ def longest_path_times(
     commands = program.commands
     n = len(commands)
     if engine_prev is None:
-        engine_prev = engine_predecessors(program)
+        engine_prev = program.engine_queues().prev
     starts = [0.0] * n
     finishes = [0.0] * n
     bindings: List[Tuple[int, str]] = [(-1, "ready")] * n
@@ -203,7 +184,7 @@ def critical_path(program: Program, trace: Trace) -> CriticalPath:
     )
     pos_of = {cid: p for p, cid in enumerate(cids)}
     commands = {c.cid: c for c in program.commands}
-    engine_prev = engine_predecessors(program)
+    engine_prev = program.engine_queues().prev
 
     current: Optional[int] = cids[max(range(len(ends)), key=ends.__getitem__)]
     segments: List[PathSegment] = []

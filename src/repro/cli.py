@@ -42,7 +42,7 @@ from repro.hw import resolve_machine
 from repro.models import ZOO, get_model, inception_v3_stem, model_names
 from repro.partition import PartitionPolicy
 from repro.sim import collect_stats, estimate_energy, simulate
-from repro.verify import ALL_PASS_NAMES, PASS_NAMES
+from repro.verify import ALL_PASS_NAMES
 
 CONFIGS = {
     "1core": CompileOptions.single_core,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class Engine(enum.Enum):
@@ -95,6 +95,19 @@ class Command:
         return f"#{self.cid} c{self.core} {self.kind.value} {self.layer}{self.tag} {payload}"
 
 
+class EngineQueues(NamedTuple):
+    """A program's engine queues; commands are named by position."""
+
+    #: (core, engine) of each queue, in order of first use
+    keys: List[Tuple[int, Engine]]
+    #: each queue's commands, in program order
+    members: List[List[int]]
+    #: each command's queue
+    qid_of: List[int]
+    #: each command's in-queue predecessor (-1 for queue heads)
+    prev: List[int]
+
+
 @dataclasses.dataclass
 class Program:
     """An executable command set for an ``num_cores``-core NPU."""
@@ -108,56 +121,45 @@ class Program:
     def __len__(self) -> int:
         return len(self.commands)
 
-    def per_engine_queues(self) -> Dict[Tuple[int, Engine], List[Command]]:
-        """Commands grouped by (core, engine), preserving program order."""
-        queues: Dict[Tuple[int, Engine], List[Command]] = {}
-        for cmd in self.commands:
-            queues.setdefault((cmd.core, cmd.engine), []).append(cmd)
-        return queues
+    def engine_queues(self) -> EngineQueues:
+        """The per-(core, engine) hardware queues, by command position.
+
+        The one derivation of engine-queue order: the simulator's plan,
+        the happens-before relation, the structure pass's cycle search,
+        the longest-path sweeps and the trace cross-check all read it.
+        """
+        qid_of_key: Dict[Tuple[int, Engine], int] = {}
+        members: List[List[int]] = []
+        qid_of: List[int] = []
+        prev: List[int] = []
+        for pos, cmd in enumerate(self.commands):
+            key = (cmd.core, cmd.engine)
+            qid = qid_of_key.get(key)
+            if qid is None:
+                qid = qid_of_key[key] = len(members)
+                members.append([pos])
+                prev.append(-1)
+            else:
+                queue = members[qid]
+                prev.append(queue[-1])
+                queue.append(pos)
+            qid_of.append(qid)
+        return EngineQueues(list(qid_of_key), members, qid_of, prev)
 
     def validate(self) -> None:
-        """Well-formedness: dense ids, forward-only deps, sane payloads.
+        """Raise ``ValueError`` if the simulator's plan would refuse this.
 
-        Raises ``ValueError`` on the first violation.  The static
-        verifier (:mod:`repro.verify`) reports the same family of
-        conditions as RPR2xx diagnostics without raising, plus the
-        deeper semantic checks.
+        The structure pass (:func:`repro.verify.structure.check_structure`)
+        is the one definition of a well-formed program; the message names
+        its first finding the plan refuses (any error, or a forward
+        dependency).
         """
-        n = len(self.commands)
-        for i, cmd in enumerate(self.commands):
-            if cmd.cid != i:
-                raise ValueError(
-                    f"command id {cmd.cid} at position {i} "
-                    f"(ids must be dense and unique)"
-                )
-            if not 0 <= cmd.core < self.num_cores:
-                raise ValueError(f"{cmd}: bad core index")
-            if len(set(cmd.deps)) != len(cmd.deps):
-                raise ValueError(f"{cmd}: duplicate dependency entries")
-            for dep in cmd.deps:
-                if dep == cmd.cid:
-                    raise ValueError(f"{cmd}: depends on itself")
-                if dep < 0:
-                    raise ValueError(f"{cmd}: negative dependency")
-                if dep >= n:
-                    raise ValueError(f"{cmd}: dangling dependency {dep}")
-                if dep > cmd.cid:
-                    raise ValueError(f"{cmd}: dependency {dep} is not earlier")
-            if cmd.cycles < 0:
-                raise ValueError(f"{cmd}: negative cycles")
-            if cmd.is_dma:
-                if cmd.num_bytes < 0:
-                    raise ValueError(f"{cmd}: negative bytes")
-                if cmd.macs:
-                    raise ValueError(f"{cmd}: DMA command carries MACs")
-            elif cmd.kind is CommandKind.COMPUTE:
-                if cmd.macs < 0:
-                    raise ValueError(f"{cmd}: negative macs")
-                if cmd.num_bytes:
-                    raise ValueError(f"{cmd}: compute command carries bytes")
-            elif cmd.kind is CommandKind.BARRIER:
-                if cmd.num_bytes or cmd.macs:
-                    raise ValueError(f"{cmd}: barrier carries a payload")
+        # repro.verify imports this module: import it at call time.
+        from repro.verify.structure import check_structure, plan_refusal
+
+        refused = plan_refusal(check_structure(self))
+        if refused is not None:
+            raise ValueError(str(refused))
 
     def total_macs(self) -> int:
         return sum(c.macs for c in self.commands)

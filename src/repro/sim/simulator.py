@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.program import CommandKind, Engine, Program
+from repro.compiler.program import CommandKind, Program
 from repro.cost.compute import compute_cycles
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.hw.config import NPUConfig
@@ -141,27 +141,12 @@ class _SimPlan:
         total = len(commands)
         self.total = total
 
-        queues: Dict[Tuple[int, Engine], List[int]] = {}
-        qid_of_key: Dict[Tuple[int, Engine], int] = {}
-        self.qid_of = qid_of = [0] * total
-        for cmd in commands:
-            key = (cmd.core, cmd.engine)
-            qid = qid_of_key.get(key)
-            if qid is None:
-                qid = len(qid_of_key)
-                qid_of_key[key] = qid
-                queues[key] = []
-            queues[key].append(cmd.cid)
-            qid_of[cmd.cid] = qid
-        self.nq = len(qid_of_key)
-        self.qcids = [queues[key] for key in qid_of_key]
-
-        #: in-queue predecessor of each command (-1 for queue heads);
-        #: lets the trace pass reconstruct engine-free times post-run.
-        self.prev_q = prev_q = [-1] * total
-        for cids in self.qcids:
-            for i in range(1, len(cids)):
-                prev_q[cids[i]] = cids[i - 1]
+        queues = program.engine_queues()
+        self.qid_of = queues.qid_of
+        self.qcids = queues.members
+        self.nq = len(queues.members)
+        #: in-queue predecessor of each command (-1 for queue heads)
+        self.prev_q = queues.prev
 
         self.deps_of = deps_of = [()] * total
         self.own_deps_of = own_deps_of = [()] * total

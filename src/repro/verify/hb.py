@@ -14,77 +14,32 @@ ancestor bitset per command (arbitrary-precision ints, so union is a
 single C-level ``|``); programs in this repository are a few thousand
 commands, for which this costs a few milliseconds and a few megabytes.
 
-The builder is deliberately robust against *corrupt* programs (that is
-the whole point of a verifier): unknown or forward dependency ids are
-skipped here and reported by the structure pass instead.
+It is built only for programs the structure pass accepts
+(:func:`repro.verify.structure.plan_refusal` finds nothing): ids are
+positions and every dependency and queue predecessor is earlier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
-from repro.compiler.program import Engine, Program
+from repro.compiler.program import Program
 
 
 class HappensBefore:
     """Materialised happens-before closure of one program."""
 
     def __init__(self, program: Program) -> None:
-        commands = program.commands
-        n = len(commands)
-        self._index: Dict[int, int] = {c.cid: i for i, c in enumerate(commands)}
-        self._ancestors: List[int] = [0] * n
-        #: per-(core, engine) queue position, for engine-order short cuts.
-        self._queue_pos: Dict[int, Tuple[Tuple[int, Engine], int]] = {}
-
-        tails: Dict[Tuple[int, Engine], int] = {}
-        qlen: Dict[Tuple[int, Engine], int] = {}
-        for i, cmd in enumerate(commands):
+        ancestors: List[int] = []
+        for cmd, prev in zip(program.commands, program.engine_queues().prev):
             anc = 0
             for dep in cmd.deps:
-                j = self._index.get(dep)
-                # Forward, dangling, or self deps cannot be closed over;
-                # the structure pass reports them as RPR2xx.
-                if j is None or j >= i:
-                    continue
-                anc |= self._ancestors[j] | (1 << j)
-            queue = (cmd.core, cmd.engine)
-            tail = tails.get(queue)
-            if tail is not None:
-                anc |= self._ancestors[tail] | (1 << tail)
-            tails[queue] = i
-            self._ancestors[i] = anc
-            pos = qlen.get(queue, 0)
-            qlen[queue] = pos + 1
-            self._queue_pos[cmd.cid] = (queue, pos)
+                anc |= ancestors[dep] | (1 << dep)
+            if prev >= 0:
+                anc |= ancestors[prev] | (1 << prev)
+            ancestors.append(anc)
+        self._ancestors = ancestors
 
     def ordered(self, before_cid: int, after_cid: int) -> bool:
         """Is ``before_cid`` guaranteed to complete before ``after_cid`` starts?"""
-        i = self._index.get(before_cid)
-        j = self._index.get(after_cid)
-        if i is None or j is None:
-            return False
-        return bool(self._ancestors[j] >> i & 1)
-
-    def ancestors(self, cid: int) -> List[int]:
-        """All cids guaranteed to complete before ``cid`` starts."""
-        j = self._index.get(cid)
-        if j is None:
-            return []
-        anc = self._ancestors[j]
-        out = []
-        i = 0
-        while anc:
-            if anc & 1:
-                out.append(i)
-            anc >>= 1
-            i += 1
-        return out
-
-    def same_queue_ordered(self, before_cid: int, after_cid: int) -> bool:
-        """Engine program order alone (no dependency edges considered)."""
-        a = self._queue_pos.get(before_cid)
-        b = self._queue_pos.get(after_cid)
-        if a is None or b is None:
-            return False
-        return a[0] == b[0] and a[1] < b[1]
+        return bool(self._ancestors[after_cid] >> before_cid & 1)

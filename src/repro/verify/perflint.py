@@ -216,9 +216,11 @@ def _check_double_buffer(
     commands = program.commands
     stalls = 0
     flagged: set = set()
-    for (core, engine), queue in program.per_engine_queues().items():
+    queues = program.engine_queues()
+    for (core, engine), members in zip(queues.keys, queues.members):
         if engine is not Engine.COMPUTE:
             continue
+        queue = [commands[pos] for pos in members]
         for prev, cur in zip(queue, queue[1:]):
             if cur.layer != prev.layer:
                 continue  # double buffering applies within a layer's tiles

@@ -1,95 +1,151 @@
-"""Structure pass: well-formedness and deadlock freedom (RPR2xx).
+"""Structure pass: the one definition of a well-formed program (RPR2xx).
 
-Re-checks, without raising, everything :meth:`Program.validate` would
-reject -- and goes further: it runs a full topological sort over the
-union of dependency edges and per-engine queue order, so a dependency
-cycle that only materialises *through* a hardware queue (command A waits
-on B, while B sits behind A in its engine queue) is detected as the
-deadlock it would be on silicon.
+:meth:`Program.validate` raises on this pass's first finding that the
+simulator's plan refuses (:func:`plan_refusal`), and the verifier gates
+its plan-reading passes on the same rule.  Beyond well-formedness, the
+pass searches the union of dependency edges and per-engine queue order
+for a cycle, so a dependency cycle that only materialises *through* a
+hardware queue (command A waits on B, while B sits behind A in its
+engine queue) is detected as the deadlock it would be on silicon.  The
+search runs only when some dependency does not name an earlier
+position: otherwise every edge points backward and no cycle can exist.
 
 Codes:
 
-* ``RPR201`` -- dangling dependency id (no such command)
+* ``RPR201`` -- dangling dependency id (no such command); a dependency
+  that points forward is a warning
 * ``RPR202`` -- self-dependency
 * ``RPR203`` -- dependency/queue cycle (deadlock)
-* ``RPR204`` -- duplicate command id
+* ``RPR204`` -- command id not its position (duplicate or non-dense ids)
 * ``RPR205`` -- core index outside the machine
 * ``RPR206`` -- payload on the wrong command kind (bytes on compute,
-  MACs on DMA, negative values)
+  MACs on DMA), negative values, non-finite ``cycles``
+* ``RPR207`` -- a dependency listed twice
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import math
+from typing import Container, List, Optional
 
-from repro.compiler.program import CommandKind, Engine, Program
-from repro.verify.diagnostics import PassResult, Severity
+from repro.compiler.program import CommandKind, Program
+from repro.verify.diagnostics import Diagnostic, PassResult, Severity
+
+_COMPUTE = CommandKind.COMPUTE
+_BARRIER = CommandKind.BARRIER
+
+def plan_refusal(result: PassResult) -> Optional[Diagnostic]:
+    """The first finding the simulator's plan refuses: any error, or a
+    forward dependency (the plan needs every dependency earlier)."""
+    for diag in result.diagnostics:
+        if diag.severity is Severity.ERROR or diag.code == "RPR201":
+            return diag
+    return None
 
 
 def check_structure(program: Program) -> PassResult:
     """Run the structure pass over ``program``."""
     result = PassResult(name="structure")
     commands = program.commands
+    num_cores = program.num_cores
     n = len(commands)
 
-    all_ids = {c.cid for c in commands}
-    seen_ids: Dict[int, int] = {}
+    # With every id at its position, a dependency names a command iff it
+    # lies in range(n), and it points backward iff it is below the id.
+    cids = [c.cid for c in commands]
+    ids_off = cids != list(range(n))
+    known: Container[int] = set(cids) if ids_off else range(n)
+    forward = False
+    edges = 0
     for pos, cmd in enumerate(commands):
-        if cmd.cid in seen_ids:
+        if cmd.cid != pos:
             result.emit(
                 "RPR204",
-                f"command id {cmd.cid} at position {pos} already used at "
-                f"position {seen_ids[cmd.cid]}",
+                f"command id {cmd.cid} at position {pos}",
                 layer=cmd.layer,
                 core=cmd.core,
                 cid=cmd.cid,
-                hint="command ids must be dense and unique (builder assigns them)",
+                hint="command ids must be dense and unique: each is its "
+                "position (the builder assigns them)",
             )
-        else:
-            seen_ids[cmd.cid] = pos
-        if not 0 <= cmd.core < program.num_cores:
+        if not 0 <= cmd.core < num_cores:
             result.emit(
                 "RPR205",
                 f"core index {cmd.core} outside machine with "
-                f"{program.num_cores} core(s)",
+                f"{num_cores} core(s)",
                 layer=cmd.layer,
                 cid=cmd.cid,
             )
-        for dep in cmd.deps:
-            if dep == cmd.cid:
-                result.emit(
-                    "RPR202",
-                    "command depends on itself",
-                    layer=cmd.layer,
-                    core=cmd.core,
-                    cid=cmd.cid,
-                )
-            elif dep not in all_ids:
-                result.emit(
-                    "RPR201",
-                    f"dependency {dep} does not name any command",
-                    layer=cmd.layer,
-                    core=cmd.core,
-                    cid=cmd.cid,
-                    hint="a command was removed without patching its consumers",
-                )
-            elif dep > cmd.cid:
-                result.emit(
-                    "RPR201",
-                    f"dependency {dep} points forward past command {cmd.cid}",
-                    severity=Severity.WARNING,
-                    layer=cmd.layer,
-                    core=cmd.core,
-                    cid=cmd.cid,
-                    hint="the builder only emits backward edges; forward edges "
-                    "deadlock when both commands share an engine queue",
-                )
-        _check_payload(result, cmd)
+        deps = cmd.deps
+        edges += len(deps)
+        if deps and (
+            ids_off or min(deps) < 0 or max(deps) >= cmd.cid or len(set(deps)) < len(deps)
+        ):
+            forward |= _check_deps(result, cmd, known)
+        kind = cmd.kind
+        if kind is _COMPUTE:
+            bad = cmd.num_bytes or cmd.macs < 0
+        elif kind is _BARRIER:
+            bad = cmd.num_bytes or cmd.macs
+        else:
+            bad = cmd.num_bytes < 0 or cmd.macs
+        if bad or not 0.0 <= cmd.cycles < math.inf:
+            _check_payload(result, cmd)
 
-    _check_cycles(result, program)
+    # Otherwise every dependency and queue edge points backward, so no
+    # cycle can exist.
+    if ids_off or forward:
+        _check_cycles(result, program)
     result.stats["commands"] = n
-    result.stats["edges"] = sum(len(c.deps) for c in commands)
+    result.stats["edges"] = edges
     return result
+
+
+def _check_deps(result: PassResult, cmd, known: Container[int]) -> bool:
+    """Report ``cmd``'s bad dependencies; True if one points forward."""
+    forward = False
+    for dep in cmd.deps:
+        if dep == cmd.cid:
+            result.emit(
+                "RPR202",
+                "command depends on itself",
+                layer=cmd.layer,
+                core=cmd.core,
+                cid=cmd.cid,
+            )
+        elif dep not in known:
+            result.emit(
+                "RPR201",
+                f"dangling dependency {dep} does not name any command",
+                layer=cmd.layer,
+                core=cmd.core,
+                cid=cmd.cid,
+                hint="a command was removed without patching its consumers",
+            )
+        elif dep > cmd.cid:
+            forward = True
+            result.emit(
+                "RPR201",
+                f"dependency {dep} points forward past command {cmd.cid}",
+                severity=Severity.WARNING,
+                layer=cmd.layer,
+                core=cmd.core,
+                cid=cmd.cid,
+                hint="the builder only emits backward edges; forward edges "
+                "deadlock when both commands share an engine queue",
+            )
+    repeated = sorted({d for d in cmd.deps if cmd.deps.count(d) > 1})
+    if repeated:
+        result.emit(
+            "RPR207",
+            "duplicate dependency entries for "
+            + ", ".join(f"#{d}" for d in repeated),
+            layer=cmd.layer,
+            core=cmd.core,
+            cid=cmd.cid,
+            hint="list each dependency once",
+        )
+    return forward
 
 
 def _check_payload(result: PassResult, cmd) -> None:
@@ -136,10 +192,18 @@ def _check_payload(result: PassResult, cmd) -> None:
                 core=cmd.core,
                 cid=cmd.cid,
             )
-    if cmd.cycles < 0:
+    if not math.isfinite(cmd.cycles):
         result.emit(
             "RPR206",
-            f"negative fixed latency {cmd.cycles}",
+            f"non-finite cycles {cmd.cycles}",
+            layer=cmd.layer,
+            core=cmd.core,
+            cid=cmd.cid,
+        )
+    elif cmd.cycles < 0:
+        result.emit(
+            "RPR206",
+            f"negative cycles {cmd.cycles}",
             layer=cmd.layer,
             core=cmd.core,
             cid=cmd.cid,
@@ -154,21 +218,16 @@ def _check_cycles(result: PassResult, program: Program) -> None:
 
     succs: List[List[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    tails: Dict[Tuple[int, Engine], int] = {}
-    for i, cmd in enumerate(commands):
+    for i, (cmd, prev) in enumerate(zip(commands, program.engine_queues().prev)):
         for dep in cmd.deps:
             j = index.get(dep)
             if j is None or j == i:
                 continue  # dangling/self deps already reported
             succs[j].append(i)
             indeg[i] += 1
-        queue = (cmd.core, cmd.engine)
-        tail = tails.get(queue)
-        if tail is not None:
-            succs[tail].append(i)
+        if prev >= 0:
+            succs[prev].append(i)
             indeg[i] += 1
-        tails[queue] = i
-
     ready = [i for i in range(n) if indeg[i] == 0]
     done = 0
     while ready:

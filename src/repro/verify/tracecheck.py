@@ -14,9 +14,9 @@ latency numbers downstream are fiction.  Checked invariants:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.compiler.program import Engine, Program
+from repro.compiler.program import Program
 from repro.sim.trace import Trace
 from repro.verify.diagnostics import PassResult
 
@@ -90,12 +90,10 @@ def check_trace(program: Program, trace: Trace) -> PassResult:
                 )
 
     # Engine queues: serialized, in program order.
-    queues: Dict[Tuple[int, Engine], List[int]] = {}
-    for cmd in program.commands:
-        pos = by_cid.get(cmd.cid)
-        if pos is not None:
-            queues.setdefault((cmd.core, cmd.engine), []).append(pos)
-    for key, positions in queues.items():
+    queues = program.engine_queues()
+    for key, members in zip(queues.keys, queues.members):
+        cids = [program.commands[m].cid for m in members]
+        positions = [by_cid[cid] for cid in cids if cid in by_cid]
         for prev, nxt in zip(positions, positions[1:]):
             if start_col[nxt] < end_col[prev] - _EPS:
                 result.emit(

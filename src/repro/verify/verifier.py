@@ -27,13 +27,11 @@ bounds     analytic latency bracket lb <= makespan <= ub  RPR7xx
 perflint   slow-schedule patterns (imbalance, stalls...)  RPR8xx
 ========== ============================================== =========
 
-When the structure pass finds errors, the happens-before relation is
-not trustworthy, so the ordering passes (race, liveness, perflint) are
-skipped rather than reporting nonsense on a broken graph.  The two
-plan-reading passes (bounds, perflint) are skipped as well on any
-RPR201, the forward-dependency warning included: they price the
-program through the simulator's plan, which refuses a dependency that
-is not earlier.
+When the structure pass finds a program the simulator's plan refuses
+-- any error, or an RPR201 forward-dependency warning, the rule
+:meth:`Program.validate` raises on -- the ordering passes (race,
+liveness, perflint) and the plan-reading bounds pass are skipped
+rather than reporting nonsense on a broken graph.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from repro.verify.liveness import check_liveness
 from repro.verify.perflint import check_perflint
 from repro.verify.races import check_races
 from repro.verify.spm import check_spm
-from repro.verify.structure import check_structure
+from repro.verify.structure import check_structure, plan_refusal
 from repro.verify.stratum_check import check_strata
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,12 +125,10 @@ def verify_model(
     if "structure" in selected:
         report.passes.append(structure)
 
-    hb: Optional[HappensBefore] = None
-    if structure.ok:
-        hb = HappensBefore(compiled.program)
-    # A cycle-free forward dependency is only a warning, but the plan
-    # behind bounds and perflint refuses it.
-    plan_ok = structure.ok and all(d.code != "RPR201" for d in structure.diagnostics)
+    # Program.validate's rule: the plan behind bounds and perflint, and
+    # the happens-before relation, need every dependency earlier.
+    plan_ok = plan_refusal(structure) is None
+    hb = HappensBefore(compiled.program) if plan_ok else None
 
     for name in ("race", "liveness"):
         if name not in selected:
@@ -157,7 +153,7 @@ def verify_model(
         else:
             report.passes.append(PassResult(name="bounds", skipped=True))
     if "perflint" in selected:
-        if hb is None or not plan_ok:
+        if hb is None:
             report.passes.append(PassResult(name="perflint", skipped=True))
         else:
             report.passes.append(check_perflint(compiled, hb))

@@ -223,7 +223,13 @@ class TestAggregates:
         assert self.build_program().count(CommandKind.COMPUTE) == 1
 
     def test_per_engine_queue_order(self):
-        p = self.build_program()
-        queues = p.per_engine_queues()
-        load_q = queues[(0, Engine.LOAD)]
-        assert [c.cid for c in load_q] == [0]
+        b = ProgramBuilder(2)
+        b.add(0, CommandKind.LOAD_INPUT, num_bytes=1)
+        b.add(1, CommandKind.COMPUTE, macs=1)
+        b.add(0, CommandKind.LOAD_WEIGHT, num_bytes=1)
+        b.add(0, CommandKind.HALO_RECV, num_bytes=1)
+        queues = b.build().engine_queues()
+        assert queues.keys == [(0, Engine.LOAD), (1, Engine.COMPUTE)]
+        assert queues.members == [[0, 2, 3], [1]]
+        assert queues.qid_of == [0, 1, 0, 0]
+        assert queues.prev == [-1, -1, 0, 2]

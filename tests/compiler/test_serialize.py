@@ -67,3 +67,14 @@ class TestValidation:
         doc["commands"][0]["deps"] = [10**6]
         with pytest.raises(ValueError):
             program_from_dict(doc)
+
+    @pytest.mark.parametrize("cycles,literal", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+    def test_rejects_non_finite_cycles(self, compiled, cycles, literal):
+        # JSON writes NaN and Infinity and reads them back as floats.
+        model, _ = compiled
+        doc = program_to_dict(model.program)
+        doc["commands"][0]["cycles"] = cycles
+        text = json.dumps(doc)
+        assert literal in text
+        with pytest.raises(ValueError, match="non-finite cycles"):
+            program_from_dict(json.loads(text))

@@ -52,7 +52,9 @@ def simulate_reference(program: Program, npu: NPUConfig, seed: int = 0):
             f"program targets {program.num_cores} cores, machine has {npu.num_cores}"
         )
 
-    queues = program.per_engine_queues()
+    queues: Dict[Tuple[int, Engine], List[Command]] = {}
+    for cmd in program.commands:
+        queues.setdefault((cmd.core, cmd.engine), []).append(cmd)
     head: Dict[Tuple[int, Engine], int] = {key: 0 for key in queues}
     engine_free_at: Dict[Tuple[int, Engine], float] = {key: 0.0 for key in queues}
     engine_busy: Dict[Tuple[int, Engine], bool] = {key: False for key in queues}

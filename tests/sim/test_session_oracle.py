@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.compiler.program import CommandKind, Program, ProgramBuilder
 from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, TransientStall
@@ -28,6 +28,10 @@ from tests.sim.test_scheduler_equivalence import random_program
 from tests.sim.trace_rows import rows
 
 NUM_CORES = 4
+#: no shrink phase: a divergence is reported at once, not after minutes
+#: spent minimizing it (the deterministic tests above the hypothesis
+#: ones run first for the same reason)
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 #: per-core DMA link caps differ, so the water-filling sort is exercised
 DMA_CAPS = (4.0, 25.0, 10.0, 10.0)
 
@@ -166,41 +170,6 @@ def replay(programs, schedule, plan=None) -> None:
     assert new.idle
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(placed_programs(), min_size=4, max_size=4), steps)
-def test_clean_overlapping_schedules_match_oracle(programs, schedule):
-    replay(programs, schedule)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(placed_programs(), min_size=4, max_size=4), steps, fault_plans())
-def test_faulted_overlapping_schedules_match_oracle(programs, schedule, plan):
-    replay(programs, schedule, plan)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    placed_programs(),
-    fault_plans(),
-    st.integers(0, 3),
-    st.floats(0.0, 5.0, allow_nan=False),
-    st.lists(st.floats(0.0, 500.0, allow_nan=False), min_size=NUM_CORES, max_size=NUM_CORES),
-)
-def test_one_shot_faulted_runs_match_oracle(program, plan, seed, offset_us, heat):
-    npu = _machine()
-    session = SimSession(
-        npu, faults=plan, memo=None, origin_us=offset_us, initial_heat=heat
-    )
-    new = _one_shot(session, program, seed)
-    ref = simulate_faulted_oracle(
-        program, npu, seed=seed, plan=plan, initial_heat=heat, time_offset_us=offset_us
-    )
-    assert new.makespan_cycles == ref.makespan_cycles
-    assert rows(new.trace) == rows(ref.trace)
-    # An empty plan is a clean run, which reports no fault stats.
-    assert new.faults == (None if plan.is_empty else ref.faults)
-
-
 def test_dma_heavy_staggered_injections_match_oracle():
     """Four DMA-heavy programs injected 0.05 us apart, then one injected
     again after a limited run, crowd the shared bus: identical to the
@@ -275,3 +244,38 @@ def test_aborted_command_keeps_its_epoch_boundary():
     assert_outcomes_equal(
         new.run_until(stop_on_completion=False), ref.run_until(stop_on_completion=False)
     )
+
+
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+@given(st.lists(placed_programs(), min_size=4, max_size=4), steps)
+def test_clean_overlapping_schedules_match_oracle(programs, schedule):
+    replay(programs, schedule)
+
+
+@settings(max_examples=60, deadline=None, phases=_NO_SHRINK)
+@given(st.lists(placed_programs(), min_size=4, max_size=4), steps, fault_plans())
+def test_faulted_overlapping_schedules_match_oracle(programs, schedule, plan):
+    replay(programs, schedule, plan)
+
+
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
+@given(
+    placed_programs(),
+    fault_plans(),
+    st.integers(0, 3),
+    st.floats(0.0, 5.0, allow_nan=False),
+    st.lists(st.floats(0.0, 500.0, allow_nan=False), min_size=NUM_CORES, max_size=NUM_CORES),
+)
+def test_one_shot_faulted_runs_match_oracle(program, plan, seed, offset_us, heat):
+    npu = _machine()
+    session = SimSession(
+        npu, faults=plan, memo=None, origin_us=offset_us, initial_heat=heat
+    )
+    new = _one_shot(session, program, seed)
+    ref = simulate_faulted_oracle(
+        program, npu, seed=seed, plan=plan, initial_heat=heat, time_offset_us=offset_us
+    )
+    assert new.makespan_cycles == ref.makespan_cycles
+    assert rows(new.trace) == rows(ref.trace)
+    # An empty plan is a clean run, which reports no fault stats.
+    assert new.faults == (None if plan.is_empty else ref.faults)

@@ -254,11 +254,21 @@ def _dangling_program():
     return Program(num_cores=1, commands=[cmd])
 
 
+def _nan_cycles_program():
+    """A barrier whose fixed latency is NaN, which JSON round-trips."""
+    cmd = Command(cid=0, core=0, kind=CommandKind.BARRIER, cycles=float("nan"))
+    return Program(num_cores=1, commands=[cmd])
+
+
 #: programs a 2-core machine must refuse, and the refusal's message
 _REJECTED = pytest.mark.parametrize(
     "bad,message",
-    [(_three_core_program, "program targets 3 cores"), (_dangling_program, "dangling")],
-    ids=["too-wide", "dangling"],
+    [
+        (_three_core_program, "program targets 3 cores"),
+        (_dangling_program, "dangling"),
+        (_nan_cycles_program, "non-finite cycles"),
+    ],
+    ids=["too-wide", "dangling", "nan-cycles"],
 )
 
 
