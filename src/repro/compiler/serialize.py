@@ -16,6 +16,16 @@ from repro.compiler.program import Command, CommandKind, Program
 
 FORMAT_VERSION = 1
 
+#: keys every command entry must carry (``layer`` and ``tag`` default to "")
+_COMMAND_KEYS = ("cid", "core", "kind", "deps", "bytes", "macs", "cycles")
+#: command keys whose value must be an int
+_INT_KEYS = ("cid", "core", "bytes", "macs")
+
+
+def _is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 def program_to_dict(program: Program) -> Dict:
     """Plain-dict form of a program."""
@@ -41,29 +51,65 @@ def program_to_dict(program: Program) -> Dict:
 
 
 def program_from_dict(data: Dict) -> Program:
-    """Rebuild a program; validates structure and content."""
-    if data.get("format") != "repro-program":
+    """Rebuild a program; validates structure and content.
+
+    Values are taken as written, never coerced: ``cid``, ``core``,
+    ``bytes``, ``macs``, every ``deps`` entry and ``num_cores`` must be
+    ints (bools refused), ``cycles`` a number and ``layer`` and ``tag``
+    (optional) strings, or a ``ValueError`` names the field and the
+    command.
+    """
+    if not isinstance(data, dict) or data.get("format") != "repro-program":
         raise ValueError("not a repro program document")
     if data.get("version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported program format version {data.get('version')!r}"
         )
+    num_cores = data.get("num_cores")
+    if not _is_int(num_cores):
+        raise ValueError(f"field 'num_cores' must be an int, got {num_cores!r}")
+    entries = data.get("commands")
+    if not isinstance(entries, list):
+        raise ValueError(f"field 'commands' must be a list, got {entries!r}")
     commands: List[Command] = []
-    for entry in data["commands"]:
+    for pos, entry in enumerate(entries):
+        where = f"command {pos}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object, got {entry!r}")
+        missing = [key for key in _COMMAND_KEYS if key not in entry]
+        if missing:
+            raise ValueError(f"{where}: missing field(s) {', '.join(map(repr, missing))}")
+        for key in _INT_KEYS:
+            if not _is_int(entry[key]):
+                raise ValueError(f"{where}: field {key!r} must be an int, got {entry[key]!r}")
+        deps = entry["deps"]
+        if not isinstance(deps, list) or not all(map(_is_int, deps)):
+            raise ValueError(f"{where}: field 'deps' must be a list of ints, got {deps!r}")
+        cycles = entry["cycles"]
+        if isinstance(cycles, bool) or not isinstance(cycles, (int, float)):
+            raise ValueError(f"{where}: field 'cycles' must be a number, got {cycles!r}")
+        try:
+            kind = CommandKind(entry["kind"])
+        except ValueError:
+            raise ValueError(f"{where}: unknown kind {entry['kind']!r}") from None
+        layer, tag = entry.get("layer", ""), entry.get("tag", "")
+        for key, text in (("layer", layer), ("tag", tag)):
+            if not isinstance(text, str):
+                raise ValueError(f"{where}: field {key!r} must be a string, got {text!r}")
         commands.append(
             Command(
-                cid=int(entry["cid"]),
-                core=int(entry["core"]),
-                kind=CommandKind(entry["kind"]),
-                deps=tuple(int(d) for d in entry["deps"]),
-                num_bytes=int(entry["bytes"]),
-                macs=int(entry["macs"]),
-                cycles=float(entry["cycles"]),
-                layer=entry.get("layer", ""),
-                tag=entry.get("tag", ""),
+                cid=entry["cid"],
+                core=entry["core"],
+                kind=kind,
+                deps=tuple(deps),
+                num_bytes=entry["bytes"],
+                macs=entry["macs"],
+                cycles=float(cycles),
+                layer=layer,
+                tag=tag,
             )
         )
-    program = Program(num_cores=int(data["num_cores"]), commands=commands)
+    program = Program(num_cores=num_cores, commands=commands)
     program.validate()
     return program
 

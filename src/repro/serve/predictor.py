@@ -151,7 +151,10 @@ class LatencyPredictor:
         of the full machine: what a request on the group runs.
 
         One structure-verified program per (model, cores), shared by
-        every wave -- and with it the simulator's plan cache.
+        every wave -- and with it the simulator's plan cache.  Its plan
+        is the compiled program's plan on the group (the one
+        :meth:`isolated_run` builds) with cores renamed, and its memo
+        fingerprint derives from the compiled program's.
         """
         cores = self._resolve_cores(cores)
         if (model, cores) not in self._placed:

@@ -79,7 +79,7 @@ from repro.serve.request import (
     generate_requests,
 )
 from repro.serve.seeding import wave_seed
-from repro.sim.multitenant import inject_wave, trace_span
+from repro.sim.multitenant import inject_wave
 from repro.sim.session import InjectionOutcome, SimSession
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -304,9 +304,8 @@ def serve(
         if any(out.failed for out in outcomes):
             num_failed += 1
         for (request, cores), out in zip(wave.pairs, outcomes):
-            trace = out.trace
             for c in cores:
-                busy_cycles[c] += trace.busy_time(c)
+                busy_cycles[c] += out.busy_cycles(c)
                 occupancy[c].append((wave.admitted_us, done_us))
                 # Cores return to the pool only while they are alive.
                 if not session.dead[c]:
@@ -321,7 +320,7 @@ def serve(
                     eligible_us[request.rid] = done_us + backoff_us * (2 ** (n - 1))
                     queue.append(request)
                 continue
-            start_cy, finish_cy = trace_span(trace)
+            start_cy, finish_cy = out.span_cycles()
             finish_us = out.origin_us + cycles_to_us(finish_cy)
             results.append(
                 RequestResult(
@@ -359,7 +358,7 @@ def serve(
                     wave, slot = out.meta
                     request, cores = wave.pairs[slot]
                     for core in cores:
-                        busy_cycles[core] += out.trace.busy_time(core)
+                        busy_cycles[core] += out.busy_cycles(core)
                     shed_us = out.origin_us + cycles_to_us(out.completed_at_cycles)
                     clock = max(clock, shed_us)
                     shed.append(ShedRecord(request, shed_us, "no-cores"))

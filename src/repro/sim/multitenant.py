@@ -25,12 +25,13 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.compiler.compiler import CompiledModel, compile_model
 from repro.compiler.options import CompileOptions
-from repro.compiler.program import Program
+from repro.compiler.program import Command, Program
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
+from repro.sim.memo import record_placement
 from repro.sim.session import SimSession
 from repro.sim.simulator import simulate
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, trace_span
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,15 +111,31 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
 
     Only cores are renamed: command ids, dependencies and layer names
     are unchanged, so the placed program's trace reads in the compiled
-    program's own terms.
+    program's own terms.  The core map must hold distinct ``int`` core
+    indices (``bool`` refused), at least one per core of ``program``.
+
+    The placed program records its source and core map, so its
+    simulator plan is the source's plan with the core column renamed
+    and its memo fingerprint derives from the source's -- for as long
+    as neither command list is rebound.
     """
-    if len(cores) < program.num_cores:
-        raise ValueError(f"core map {tuple(cores)} too short for {program.num_cores} cores")
-    if len(set(cores)) != len(cores):
-        raise ValueError(f"core map {tuple(cores)} repeats a core")
+    for core in cores:
+        if not isinstance(core, int) or isinstance(core, bool):
+            raise ValueError(f"core map {tuple(cores)!r} holds {core!r}, not an int core index")
+    core_map = tuple(cores)
+    if len(core_map) < program.num_cores:
+        raise ValueError(f"core map {core_map} too short for {program.num_cores} cores")
+    if len(set(core_map)) != len(core_map):
+        raise ValueError(f"core map {core_map} repeats a core")
     placed = Program(
         num_cores=num_cores,
-        commands=[dataclasses.replace(c, core=cores[c.core]) for c in program.commands],
+        commands=[
+            Command(
+                c.cid, core_map[c.core], c.kind, c.deps,
+                c.num_bytes, c.macs, c.cycles, c.layer, c.tag,
+            )
+            for c in program.commands
+        ],
     )
     # The static verifier's structure pass (well-formedness and the
     # dependency/queue deadlock check) must accept what the session runs.
@@ -127,6 +144,7 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
     report = verify_program(placed, config="placed")
     if not report.ok:
         raise VerificationError(report)
+    record_placement(placed, program, core_map)
     return placed
 
 
@@ -189,17 +207,6 @@ def auto_assign(
             best = result
     assert best is not None
     return best
-
-
-def trace_span(trace: Trace) -> Tuple[float, float]:
-    """(first start, last end) of a trace's events; (0, 0) without any.
-
-    A program injected after t=0 spans less than its completion time:
-    its latency is the span's length, not its end.
-    """
-    if not len(trace):
-        return (0.0, 0.0)
-    return (trace.column("start")[0], trace.makespan)
 
 
 def run_concurrent(

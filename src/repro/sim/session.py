@@ -42,12 +42,16 @@ runs and stores the outcome for the next time.
 
 Trace events of a finished injection are reported in frame-local cycles
 together with the frame origin, mirroring how the gang server consumes
-``simulate()`` results.
+``simulate()`` results.  So are its span and per-core busy cycles,
+which the serving loop reads instead of the trace: they are reduced
+from the injection's completion times on first request, and the trace
+itself stays deferred until something reads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,7 +61,7 @@ from repro.sim import memo as memo_mod
 from repro.sim.bus import advance_eta, force_min, refill_eta
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
 from repro.sim.simulator import _EPS, SimResult, _finished_columns, _plan_for, _SimPlan
-from repro.sim.trace import Trace
+from repro.sim.trace import Trace, merge_intervals, trace_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
@@ -78,16 +82,6 @@ _NOT_DONE = -1.0
 _ABANDONED = -2.0
 
 
-def _merge_windows(windows: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    merged: List[Tuple[float, float]] = []
-    for start, end in sorted(windows):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def _stalled_until(windows: List[Tuple[float, float]], t: float) -> float:
     """End of the window containing ``t`` (half-open), else 0."""
     for start, end in windows:
@@ -96,6 +90,49 @@ def _stalled_until(windows: List[Tuple[float, float]], t: float) -> float:
         if start > t:
             break
     return 0.0
+
+
+class _Usage:
+    """Span and per-core busy cycles of a finished injection's completed
+    commands, reduced on first request from its slot slices."""
+
+    def __init__(
+        self,
+        plan: _SimPlan,
+        finished: Optional[List[int]],
+        start: List[float],
+        done: List[float],
+    ) -> None:
+        self.plan = plan
+        #: completed commands, ascending (``None``: all of them)
+        self.finished = finished
+        self.start = start
+        self.done = done
+
+    @functools.cached_property
+    def span(self) -> Tuple[float, float]:
+        start, done, finished = self.start, self.done, self.finished
+        if finished is not None:
+            start = [start[c] for c in finished]
+            done = [done[c] for c in finished]
+        return (min(start), max(done)) if done else (0.0, 0.0)
+
+    @functools.cached_property
+    def busy(self) -> Dict[int, float]:
+        start, done = self.start, self.done
+        core_of = self.plan.static_cols["core"]
+        spans: Dict[int, List[Tuple[float, float]]] = {}
+        for cids in self.plan.qcids:
+            # An abandoned command's completion time is below any start,
+            # so the filter keeps completed commands only.
+            spans.setdefault(core_of[cids[0]], []).extend(
+                [(start[c], done[c]) for c in cids if done[c] > start[c]]
+            )
+        # Trace.busy_time's float order: sort, merge, sum left to right.
+        return {
+            core: sum(end - begin for begin, end in merge_intervals(pairs))
+            for core, pairs in spans.items()
+        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +144,10 @@ class InjectionOutcome:
     every cycle count (including the trace's event times) is local to
     that frame.  Absolute serving time of a local cycle count ``c`` is
     ``origin_us + npu.cycles_to_us(c)``.
+
+    :meth:`span_cycles` and :meth:`busy_cycles` report what the serving
+    loop needs without deriving the trace: they equal
+    ``trace_span(trace)`` and ``trace.busy_time(core)``.
     """
 
     injection_id: int
@@ -128,6 +169,24 @@ class InjectionOutcome:
     meta: Any = None
     #: the abandoned commands' ids, ascending.
     abandoned_cids: Tuple[int, ...] = ()
+    #: the session's reduction of span and busy cycles (``None``: the
+    #: outcome came from the memo, or from outside a session, and the
+    #: two are read from the trace).
+    _usage: Optional[_Usage] = dataclasses.field(default=None, repr=False, compare=False)
+
+    def span_cycles(self) -> Tuple[float, float]:
+        """(first start, last end) of the completed commands, frame-local
+        cycles; ``(0.0, 0.0)`` when none completed."""
+        if self._usage is None:
+            return trace_span(self.trace)
+        return self._usage.span
+
+    def busy_cycles(self, core: int) -> float:
+        """Cycles physical ``core`` was busy with completed commands: the
+        length of the union of their (start, end) intervals."""
+        if self._usage is None:
+            return self.trace.busy_time(core)
+        return self._usage.busy.get(core, 0.0)
 
 
 class _Injection:
@@ -292,9 +351,9 @@ class SimSession:
                     bus_windows.append(window)
                 else:
                     core_windows.setdefault(stall.core, []).append(window)
-            self._bus_windows = _merge_windows(bus_windows)
+            self._bus_windows = merge_intervals(bus_windows)
             for core, windows in core_windows.items():
-                self._core_windows[core] = _merge_windows(windows)
+                self._core_windows[core] = merge_intervals(windows)
             for core in plan.throttled_cores(n):
                 self._throttled[core] = True
             for event in plan.offline_events:
@@ -628,10 +687,15 @@ class SimSession:
                 inj.memo_key,
                 SimResult(trace=trace, makespan_cycles=now, npu=self.npu),
             )
-        self._deliver(inj, now, trace, abandoned)
+        self._deliver(inj, now, trace, abandoned, _Usage(plan, finished, start, done))
 
     def _deliver(
-        self, inj: _Injection, now: float, trace: Trace, abandoned: Tuple[int, ...] = ()
+        self,
+        inj: _Injection,
+        now: float,
+        trace: Trace,
+        abandoned: Tuple[int, ...] = (),
+        usage: Optional[_Usage] = None,
     ) -> None:
         """Queue ``inj``'s outcome for the next :meth:`run_until`."""
         self._completions.append(
@@ -646,6 +710,7 @@ class SimSession:
                 num_abandoned=inj.num_doomed,
                 meta=inj.meta,
                 abandoned_cids=abandoned,
+                _usage=usage,
             )
         )
 

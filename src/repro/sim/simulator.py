@@ -170,7 +170,7 @@ class _SimPlan:
             own_deps_of[cid] = tuple(
                 d for d in cmd.deps if commands[d].core == cmd.core
             )
-            for dep in set(cmd.deps):
+            for dep in cmd.deps:
                 consumers[dep].append(cid)
                 indeg0[cid] += 1
             kind = cmd.kind
@@ -227,6 +227,24 @@ class _SimPlan:
         #: :func:`repro.verify.bounds.bounds_for` on first use.
         self.bounds: Optional["BoundsReport"] = None
 
+    def placed(self, cores: Tuple[int, ...]) -> "_SimPlan":
+        """This plan with each command's core ``c`` renamed to ``cores[c]``.
+
+        Placement renames cores injectively, so only the static ``core``
+        column changes: every other list is shared with this plan, and
+        both plans treat it as read-only.  The bracket and the jitter
+        tables are cached per plan, so they start empty.
+        """
+        plan = _SimPlan.__new__(_SimPlan)
+        for slot in _SHARED_SLOTS:
+            setattr(plan, slot, getattr(self, slot))
+        static = dict(self.static_cols)
+        static["core"] = [cores[c] for c in static["core"]]
+        plan.static_cols = static
+        plan.bounds = None
+        plan._delay_cache = {}
+        return plan
+
     def queue_successors(self) -> List[int]:
         """In-queue successor of each command (-1 for queue tails).
 
@@ -273,6 +291,12 @@ class _SimPlan:
         return delay
 
 
+#: plan slots a placed plan shares with its source's plan
+_SHARED_SLOTS = tuple(
+    slot for slot in _SimPlan.__slots__ if slot not in ("static_cols", "bounds", "_delay_cache")
+)
+
+
 def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     """Fetch or build the cached scheduling plan for (program, npu).
 
@@ -284,7 +308,9 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     Every reader of a (program, machine) pair comes through here -- the
     event loop, the static bracket and the performance lint -- so this
     is where the pair is checked: the core count on every call, the
-    program's well-formedness once, when its plan is built.
+    program's well-formedness once, when its plan is built.  A placed
+    program's plan is derived from its source's (:func:`_placed_plan`),
+    whose build checked the source.
     """
     if program.num_cores > npu.num_cores:
         raise ValueError(
@@ -296,10 +322,37 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
         setattr(program, _PLAN_ATTR, plans)
     plan = plans.get(npu)
     if plan is None or plan.total != len(program.commands):
-        program.validate()
-        plan = _SimPlan(program, npu)
+        # An empty program has nothing to derive (nor any group machine).
+        placement = memo_mod.placement_of(program) if program.commands else None
+        if placement is None:
+            program.validate()
+            plan = _SimPlan(program, npu)
+        else:
+            plan = _placed_plan(*placement, npu)
         plans[npu] = plan
     return plan
+
+
+def _placed_plan(source: Program, cores: Tuple[int, ...], npu: NPUConfig) -> _SimPlan:
+    """The plan of ``source`` placed on ``cores`` of ``npu``.
+
+    Core ``i`` of the source runs as core ``cores[i]`` of ``npu``, so
+    the source's plan on the *group machine* -- ``npu`` with cores
+    ``npu.cores[c] for c in cores`` -- prices every command exactly as
+    a plan of the placed program would.  Compile machines name their
+    group differently by caller (:func:`repro.sim.multitenant.sub_machine`),
+    so a plan the source already has on a machine equal to the group
+    machine in everything but its name is reused; otherwise the source's
+    plan on the group machine is built first.  Map entries past the
+    source's core count name no command and are left out.
+    """
+    cores = cores[: source.num_cores]
+    group = dataclasses.replace(npu, cores=tuple(npu.cores[c] for c in cores))
+    plans: Dict[NPUConfig, _SimPlan] = getattr(source, _PLAN_ATTR, None) or {}
+    machine = next(
+        (m for m in plans if dataclasses.replace(m, name=npu.name) == group), group
+    )
+    return _plan_for(source, machine).placed(cores)
 
 
 def simulate(
@@ -389,7 +442,7 @@ def _one_shot(session: "SimSession", program: Program, seed: int) -> SimResult:
         )
     # Abandoned commands leave no events: the makespan is the last
     # completion, which precedes an abandonment that ended the run.
-    makespan = out.trace.makespan if out.failed else out.completed_at_cycles
+    makespan = out.span_cycles()[1] if out.failed else out.completed_at_cycles
     return SimResult(trace=out.trace, makespan_cycles=makespan, npu=npu, faults=stats)
 
 

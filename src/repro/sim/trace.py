@@ -29,7 +29,7 @@ re-scan.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union, cast
 
 from repro.compiler.program import Engine
 
@@ -81,6 +81,18 @@ class TraceColumns:
 
 
 ColumnsSource = Union[TraceColumns, Callable[[], TraceColumns]]
+
+
+def merge_intervals(spans: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    """``(start, end)`` pairs sorted, with overlapping or touching pairs
+    merged into one."""
+    merged: List[Tuple[float, float]] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
 
 
 class Trace:
@@ -162,28 +174,31 @@ class Trace:
         self, core: int, engine: Optional[Engine] = None
     ) -> List[Tuple[float, float]]:
         """Merged busy intervals of a core (optionally one engine)."""
-        starts = self.column("start")
-        ends = self.column("end")
+        starts = cast(List[float], self.column("start"))
+        ends = cast(List[float], self.column("end"))
         if engine is None:
-            spans = sorted(
+            return merge_intervals(
                 (starts[p], ends[p])
                 for p in self.positions("core", core)
-                if ends[p] > starts[p]  # type: ignore[operator]
+                if ends[p] > starts[p]
             )
-        else:
-            engines = self.column("engine")
-            spans = sorted(
-                (starts[p], ends[p])
-                for p in self.positions("core", core)
-                if engines[p] is engine and ends[p] > starts[p]  # type: ignore[operator]
-            )
-        merged: List[Tuple[float, float]] = []
-        for start, end in spans:  # type: ignore[assignment]
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+        engines = self.column("engine")
+        return merge_intervals(
+            (starts[p], ends[p])
+            for p in self.positions("core", core)
+            if engines[p] is engine and ends[p] > starts[p]
+        )
 
     def busy_time(self, core: int, engine: Optional[Engine] = None) -> float:
         return sum(end - start for start, end in self.busy_intervals(core, engine))
+
+
+def trace_span(trace: Trace) -> Tuple[float, float]:
+    """(first start, last end) of a trace's events; (0, 0) without any.
+
+    A program injected after t=0 spans less than its completion time:
+    its latency is the span's length, not its end.
+    """
+    if not len(trace):
+        return (0.0, 0.0)
+    return (cast(float, trace.column("start")[0]), trace.makespan)

@@ -1,0 +1,99 @@
+"""Serving derives no trace: it reads each injection's reported span and
+busy cycles, so no request's trace columns are ever built.  Nor does a
+faulted one-shot ``simulate`` that abandoned commands, for its makespan.
+
+A spy counts calls of :func:`repro.sim.simulator._finished_columns`,
+the one place deferred trace columns are derived, wherever it was
+imported by name.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from repro.compiler import CompileOptions, compile_model
+from repro.compiler.cache import ProgramCache
+from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, random_stalls
+from repro.hw import exynos2100_like
+from repro.models import inception_v3_stem
+from repro.serve import serve
+from repro.sim import SimSession, memo, simulate, simulator
+
+MIX = ["MobileNetV2", "InceptionV3"]
+DURATION_US = 4000.0
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count trace-column derivations while the test runs."""
+    calls = []
+    original = simulator._finished_columns
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "_finished_columns", None) is original
+        ):
+            monkeypatch.setattr(module, "_finished_columns", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def cache():
+    return ProgramCache()
+
+
+def perfbench_style_plan(npu):
+    """Throttling on every core, one core dying mid-stream, bus stalls."""
+    return FaultPlan(
+        events=(ThermalThrottle(), CoreOffline(core=1, at_us=DURATION_US / 2))
+        + random_stalls(3, DURATION_US, mean_gap_us=DURATION_US / 4, mean_duration_us=200.0),
+        seed=11,
+    )
+
+
+def test_spy_sees_a_derivation(derivations):
+    """The spy is live: reading a trace derives its columns once."""
+    npu = exynos2100_like()
+    program = compile_model(inception_v3_stem(), npu, CompileOptions.base()).program
+    session = SimSession(npu, memo=None)
+    session.inject(program, at_us=0.0)
+    (out,) = session.run_until()
+    assert not derivations
+    out.trace.column("start")
+    assert len(derivations) == 1
+
+
+def test_failed_one_shot_derives_no_trace(derivations):
+    npu = exynos2100_like()
+    program = compile_model(inception_v3_stem(), npu, CompileOptions.base()).program
+    plan = FaultPlan(events=(CoreOffline(core=2, at_us=5.0),))
+    result = simulate(program, npu, faults=plan, memo=None)
+    assert result.faults.abandoned_cids and not derivations
+    assert result.makespan_cycles == result.trace.makespan
+    assert len(derivations) == 1
+
+
+@pytest.mark.parametrize("mode", ["gang", "continuous"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+def test_serve_derives_no_trace(derivations, cache, mode, faulted):
+    npu = exynos2100_like()
+    memo.default_memo().clear()
+    report = serve(
+        MIX,
+        npu,
+        policy="dynamic",
+        rps=3000.0,
+        duration_us=DURATION_US,
+        seed=0,
+        cache=cache,
+        faults=perfbench_style_plan(npu) if faulted else None,
+        mode=mode,
+    )
+    assert report.num_requests > 0
+    assert derivations == []
