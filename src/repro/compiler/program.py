@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.verify.diagnostics import PassResult
 
 
 class Engine(enum.Enum):
@@ -108,18 +111,80 @@ class EngineQueues(NamedTuple):
     prev: List[int]
 
 
+class Placement(NamedTuple):
+    """What a placed program is a view of (:meth:`Program.placed_on`)."""
+
+    #: the program that was placed
+    source: "Program"
+    #: the source's command list at placement, and its length then
+    commands: List[Command]
+    length: int
+    #: physical core of each source core
+    cores: Tuple[int, ...]
+
+
 @dataclasses.dataclass
 class Program:
-    """An executable command set for an ``num_cores``-core NPU."""
+    """An executable command set for an ``num_cores``-core NPU.
+
+    A program :meth:`placed_on` physical cores is a view of its source:
+    it builds its command list only when something reads it.
+    """
 
     num_cores: int
     commands: List[Command] = dataclasses.field(default_factory=list)
+
+    def placed_on(self, cores: Tuple[int, ...], num_cores: int) -> "Program":
+        """A view of this program on an ``num_cores``-core machine, core
+        ``i`` renamed to ``cores[i]``.  Nothing is checked here:
+        :func:`repro.sim.multitenant.place_program` checks the map."""
+        placed = Program.__new__(Program)
+        placed.num_cores = num_cores
+        placed.__dict__["_placement"] = Placement(
+            self, self.commands, len(self.commands), cores
+        )
+        return placed
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes the instance lacks: a placed view
+        # builds its command list on first read, from the source's list
+        # as it was at placement.
+        placement = self.__dict__.get("_placement")
+        if name != "commands" or placement is None:
+            raise AttributeError(f"'Program' object has no attribute {name!r}")
+        cores = placement.cores
+        commands = [
+            Command(
+                c.cid, cores[c.core], c.kind, c.deps,
+                c.num_bytes, c.macs, c.cycles, c.layer, c.tag,
+            )
+            for c in placement.commands[: placement.length]
+        ]
+        self.__dict__["commands"] = self.__dict__["_placed_commands"] = commands
+        return commands
+
+    def placement(self) -> Optional[Placement]:
+        """What this program is a placed view of, until either command
+        list is rebound (same objects, same lengths); ``None`` for any
+        other program."""
+        placement = self.__dict__.get("_placement")
+        if (
+            placement is None
+            or self.__dict__.get("commands") is not self.__dict__.get("_placed_commands")
+            or placement.source.commands is not placement.commands
+            or len(placement.commands) != placement.length
+        ):
+            return None
+        return placement
 
     def command(self, cid: int) -> Command:
         return self.commands[cid]
 
     def __len__(self) -> int:
-        return len(self.commands)
+        commands = self.__dict__.get("commands")
+        if commands is None:  # a placed view, not built yet
+            return self._placement.length
+        return len(commands)
 
     def engine_queues(self) -> EngineQueues:
         """The per-(core, engine) hardware queues, by command position.
@@ -146,18 +211,34 @@ class Program:
             qid_of.append(qid)
         return EngineQueues(list(qid_of_key), members, qid_of, prev)
 
+    def structure(self) -> "PassResult":
+        """The structure pass's verdict on this program
+        (:func:`repro.verify.structure.check_structure`), computed once
+        per command list: it is kept while the list is the same object
+        of the same length, the plan cache's rule."""
+        commands = self.commands
+        kept = self.__dict__.get("_structure")
+        if kept is not None and kept[0] is commands and kept[1] == len(commands):
+            return kept[2]
+        # repro.verify imports this module: import it at call time.
+        from repro.verify.structure import check_structure
+
+        verdict = check_structure(self)
+        self.__dict__["_structure"] = (commands, len(commands), verdict)
+        return verdict
+
     def validate(self) -> None:
         """Raise ``ValueError`` if the simulator's plan would refuse this.
 
-        The structure pass (:func:`repro.verify.structure.check_structure`)
-        is the one definition of a well-formed program; the message names
-        its first finding the plan refuses (any error, or a forward
-        dependency).
+        The structure pass is the one definition of a well-formed
+        program; the message names its first finding the plan refuses
+        (any error, or a forward dependency).  The verdict is
+        :meth:`structure`'s, so a program is checked once per command
+        list however many readers validate it.
         """
-        # repro.verify imports this module: import it at call time.
-        from repro.verify.structure import check_structure, plan_refusal
+        from repro.verify.structure import plan_refusal
 
-        refused = plan_refusal(check_structure(self))
+        refused = plan_refusal(self.structure())
         if refused is not None:
             raise ValueError(str(refused))
 
@@ -252,5 +333,6 @@ class ProgramBuilder:
 
     def build(self) -> Program:
         program = Program(num_cores=self.num_cores, commands=list(self._commands))
+        # The verdict stays on the program: the plan and placement reuse it.
         program.validate()
         return program

@@ -9,6 +9,7 @@ and alignment computation.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -22,9 +23,13 @@ class DataType(enum.Enum):
     FP16 = "fp16"
     FP32 = "fp32"
 
-    @property
+    @functools.cached_property
     def size_bytes(self) -> int:
-        """Storage size of one element in bytes."""
+        """Storage size of one element in bytes.
+
+        Kept on the member after the first read, so the compiler's many
+        reads are attribute reads, not enum-keyed dict lookups.
+        """
         return _SIZE_BYTES[self]
 
     @property

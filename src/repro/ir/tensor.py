@@ -102,6 +102,13 @@ class Region:
     cols: Interval
     chans: Interval
 
+    def __hash__(self) -> int:
+        # Over the six bounds in one call, consistent with ==: receptive-
+        # field memos key on Regions, and the generated hash would make
+        # one call per Interval as well.
+        rows, cols, chans = self.rows, self.cols, self.chans
+        return hash((rows.start, rows.stop, cols.start, cols.stop, chans.start, chans.stop))
+
     @classmethod
     def full(cls, shape: TensorShape) -> "Region":
         return cls(Interval(0, shape.h), Interval(0, shape.w), Interval(0, shape.c))

@@ -21,7 +21,9 @@ program :func:`~repro.sim.multitenant.place_program` built is hashed
 over its source's fingerprint and its core map instead of its
 commands -- still a pure function of content, so programs placed from
 content-equal sources on equal core maps share entries, but a placed
-program and a content-equal plain program no longer do.
+program and a content-equal plain program do not.  The placement lives
+on the placed program (:meth:`~repro.compiler.program.Program.placement`),
+so its digest needs no placed command.
 :func:`repro.sim.simulate` treats an empty fault plan as no plan, so it
 shares the clean entry by construction.
 
@@ -55,73 +57,41 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: attribute under which a program caches its own fingerprint
 _FP_ATTR = "_sim_fingerprint"
 
-#: attribute under which a placed program records its source, the
-#: source's command list, the core map and its own command list
-_PLACED_ATTR = "_placed_from"
-
 #: sentinel: "use the process-wide default memo" (``None`` disables)
 USE_DEFAULT_MEMO = object()
-
-
-def record_placement(
-    placed: "Program", source: "Program", cores: Tuple[int, ...]
-) -> None:
-    """Record that ``placed`` is ``source`` with core ``i`` renamed to
-    ``cores[i]`` (:func:`~repro.sim.multitenant.place_program` does)."""
-    record = (source, source.commands, cores, placed.commands)
-    setattr(placed, _PLACED_ATTR, record)
-
-
-def placement_of(program: "Program") -> "Optional[Tuple[Program, Tuple[int, ...]]]":
-    """``(source, core map)`` of a placed program, while both command
-    lists are the ones placement saw (same objects, equal lengths);
-    ``None`` for any other program."""
-    record = getattr(program, _PLACED_ATTR, None)
-    if record is None:
-        return None
-    source, source_commands, cores, commands = record
-    if (
-        program.commands is commands
-        and source.commands is source_commands
-        and len(commands) == len(source_commands)
-    ):
-        return source, cores
-    return None
 
 
 def program_fingerprint(program: "Program") -> str:
     """Content hash of a program's command list.
 
-    A placed program (:func:`placement_of`) hashes a tag, its source's
-    fingerprint, its core map and its core count instead: that pins its
-    content as well, and the tagged text can never equal a command-list
-    text, so the two kinds of digest cannot collide.
+    A placed program (:meth:`~repro.compiler.program.Program.placement`)
+    hashes a tag, its source's fingerprint, its core map and its core
+    count instead, without building its commands: that pins its content
+    as well, and the tagged text can never equal a command-list text,
+    so the two kinds of digest cannot collide.
 
     Cached on the program object and invalidated the same way the
-    scheduling-plan cache is: when the command list is a different
-    object or a different length (in-place same-length mutation is not
-    a supported way to build programs).
+    scheduling-plan cache is: when the command list (for a placed
+    program, its placement) is a different object or a different length
+    (in-place same-length mutation is not a supported way to build
+    programs).
     """
+    placement = program.placement()
+    keyed = program.commands if placement is None else placement
     cached = getattr(program, _FP_ATTR, None)
-    commands = program.commands
-    if (
-        cached is not None
-        and cached[0] is commands
-        and cached[1] == len(commands)
-    ):
+    if cached is not None and cached[0] is keyed and cached[1] == len(program):
         return cached[2]
-    placement = placement_of(program)
     if placement is not None:
-        source, cores = placement
+        source, cores = placement.source, placement.cores
         text = repr(("placed", program_fingerprint(source), cores, program.num_cores))
     else:
         payload = [
             (c.cid, c.core, c.kind.value, c.deps, c.num_bytes, c.macs, c.cycles, c.layer, c.tag)
-            for c in commands
+            for c in keyed
         ]
         text = repr((program.num_cores, payload))
     digest = hashlib.sha256(text.encode()).hexdigest()
-    program._sim_fingerprint = (commands, len(commands), digest)  # type: ignore[attr-defined]
+    program._sim_fingerprint = (keyed, len(program), digest)  # type: ignore[attr-defined]
     return digest
 
 

@@ -25,10 +25,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.compiler.compiler import CompiledModel, compile_model
 from repro.compiler.options import CompileOptions
-from repro.compiler.program import Command, Program
+from repro.compiler.program import Program
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
-from repro.sim.memo import record_placement
 from repro.sim.session import SimSession
 from repro.sim.simulator import simulate
 from repro.sim.trace import Trace, trace_span
@@ -114,10 +113,18 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
     program's own terms.  The core map must hold distinct ``int`` core
     indices (``bool`` refused), at least one per core of ``program``.
 
-    The placed program records its source and core map, so its
-    simulator plan is the source's plan with the core column renamed
-    and its memo fingerprint derives from the source's -- for as long
-    as neither command list is rebound.
+    The placed program is a view of its source (:meth:`Program.placed_on`):
+    its command list is built only when something reads it.  Its
+    simulator plan is the source's plan with the core column renamed and
+    its memo fingerprint derives from the source's -- for as long as
+    neither command list is rebound.
+
+    An injective renaming keeps ids, dependencies, payloads and the
+    engine-queue partition, so the placed program's structure verdict is
+    its source's (:meth:`Program.structure`, kept on the source) plus
+    the core range.  :class:`~repro.verify.VerificationError` is raised
+    with RPR205 when a map entry the source uses lies outside the
+    machine, and on any error in the source's verdict.
     """
     for core in cores:
         if not isinstance(core, int) or isinstance(core, bool):
@@ -127,25 +134,23 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
         raise ValueError(f"core map {core_map} too short for {program.num_cores} cores")
     if len(set(core_map)) != len(core_map):
         raise ValueError(f"core map {core_map} repeats a core")
-    placed = Program(
-        num_cores=num_cores,
-        commands=[
-            Command(
-                c.cid, core_map[c.core], c.kind, c.deps,
-                c.num_bytes, c.macs, c.cycles, c.layer, c.tag,
-            )
-            for c in program.commands
-        ],
-    )
-    # The static verifier's structure pass (well-formedness and the
-    # dependency/queue deadlock check) must accept what the session runs.
-    from repro.verify import VerificationError, verify_program
+    from repro.verify import PassResult, VerificationError, VerifyReport
 
-    report = verify_program(placed, config="placed")
-    if not report.ok:
-        raise VerificationError(report)
-    record_placement(placed, program, core_map)
-    return placed
+    verdict = PassResult(name="structure")
+    for core, physical in enumerate(core_map[: program.num_cores]):
+        if not 0 <= physical < num_cores:
+            verdict.emit(
+                "RPR205",
+                f"core map sends core {core} to core {physical}, outside "
+                f"machine with {num_cores} core(s)",
+            )
+    if verdict.ok:
+        verdict = program.structure()
+    if not verdict.ok:
+        raise VerificationError(
+            VerifyReport(model="program", config="placed", machine="", passes=[verdict])
+        )
+    return program.placed_on(core_map, num_cores)
 
 
 def inject_wave(
@@ -167,7 +172,7 @@ def inject_wave(
     base = 0
     for program, meta in zip(programs, metas or [None] * len(programs)):
         session.inject(program, at_us, seed=seed, meta=meta, cid_base=base)
-        base += len(program.commands)
+        base += len(program)
 
 
 def auto_assign(

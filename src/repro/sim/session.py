@@ -413,6 +413,8 @@ class SimSession:
         does not check that those cores are free -- overlapping
         injections on one core simply queue behind each other in their
         (core, engine) streams, so the *caller* owns core accounting.
+        Everything the session needs comes from the program's plan, so
+        a placed program's commands are never built here.
 
         ``cid_base`` offsets the command ids that seed jitter draws;
         only :func:`repro.sim.multitenant.inject_wave` sets it.
@@ -466,17 +468,19 @@ class SimSession:
                 self._fast_iid = iid
         self._active[iid] = inj
 
-        # Map plan queues onto session queues by (core, engine) and
-        # enqueue the commands' slots; queue scan order (plan order)
-        # matches the one-shot simulator's seeding of the check stack.
-        commands = program.commands
+        # Map plan queues onto session queues by (core, engine), read
+        # from the plan's static columns, and enqueue the commands'
+        # slots; queue scan order (plan order) matches the one-shot
+        # simulator's seeding of the check stack.
+        core_of = plan.static_cols["core"]
+        engine_of = plan.static_cols["engine"]
         pqids = []
         for cids in plan.qcids:
-            cmd = commands[cids[0]]
-            key = (cmd.core, cmd.engine)
+            head = cids[0]
+            key = (core_of[head], engine_of[head])
             qid = self._qid_of_key.get(key)
             if qid is None:
-                qid = self._add_queue(cmd.core, cmd.engine)
+                qid = self._add_queue(*key)
             self._q_slots[qid].extend(map(base.__add__, cids) if base else cids)
             pqids.append(qid)
             self._check.append(qid)

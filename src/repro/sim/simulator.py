@@ -303,33 +303,38 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     The cache lives on the program object, keyed by the (hashable,
     frozen) machine description, so a program swept across seeds or
     machines keeps one plan per machine and the whole thing is garbage
-    collected with the program.
+    collected with the program.  A plan is kept while the command list
+    (a placed view's: its placement) is the same object of the same
+    length, the rule the program's other caches follow.
 
     Every reader of a (program, machine) pair comes through here -- the
     event loop, the static bracket and the performance lint -- so this
     is where the pair is checked: the core count on every call, the
-    program's well-formedness once, when its plan is built.  A placed
-    program's plan is derived from its source's (:func:`_placed_plan`),
-    whose build checked the source.
+    program's well-formedness when its plan is built, through the
+    verdict the program keeps (:meth:`Program.structure`; a built
+    program already has one).  A placed program's plan is derived from
+    its source's (:func:`_placed_plan`) without reading its commands.
     """
     if program.num_cores > npu.num_cores:
         raise ValueError(
             f"program targets {program.num_cores} cores, machine has {npu.num_cores}"
         )
-    plans: Dict[NPUConfig, _SimPlan] = getattr(program, _PLAN_ATTR, None)
+    plans: Dict[NPUConfig, Tuple[object, _SimPlan]] = getattr(program, _PLAN_ATTR, None)
     if plans is None:
         plans = {}
         setattr(program, _PLAN_ATTR, plans)
-    plan = plans.get(npu)
-    if plan is None or plan.total != len(program.commands):
-        # An empty program has nothing to derive (nor any group machine).
-        placement = memo_mod.placement_of(program) if program.commands else None
-        if placement is None:
-            program.validate()
-            plan = _SimPlan(program, npu)
-        else:
-            plan = _placed_plan(*placement, npu)
-        plans[npu] = plan
+    placement = program.placement()
+    keyed = program.commands if placement is None else placement
+    kept = plans.get(npu)
+    if kept is not None and kept[0] is keyed and kept[1].total == len(program):
+        return kept[1]
+    # An empty program has nothing to derive (nor any group machine).
+    if placement is None or not len(program):
+        program.validate()
+        plan = _SimPlan(program, npu)
+    else:
+        plan = _placed_plan(placement.source, placement.cores, npu)
+    plans[npu] = (keyed, plan)
     return plan
 
 
@@ -348,7 +353,7 @@ def _placed_plan(source: Program, cores: Tuple[int, ...], npu: NPUConfig) -> _Si
     """
     cores = cores[: source.num_cores]
     group = dataclasses.replace(npu, cores=tuple(npu.cores[c] for c in cores))
-    plans: Dict[NPUConfig, _SimPlan] = getattr(source, _PLAN_ATTR, None) or {}
+    plans = getattr(source, _PLAN_ATTR, None) or {}
     machine = next(
         (m for m in plans if dataclasses.replace(m, name=npu.name) == group), group
     )

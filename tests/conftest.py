@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compiler.program import Program
 from repro.hw import tiny_test_machine
 from repro.ir import (
     Add,
@@ -20,6 +21,22 @@ from repro.ir import (
     TensorShape,
     Window2D,
 )
+
+
+@pytest.fixture
+def placed_builds(monkeypatch):
+    """Placed programs whose command list is built while the test runs:
+    ``Program.__getattr__`` is the one place that builds them."""
+    calls = []
+    original = Program.__getattr__
+
+    def spy(self, name):
+        if name == "commands":
+            calls.append(self)
+        return original(self, name)
+
+    monkeypatch.setattr(Program, "__getattr__", spy)
+    return calls
 
 
 @pytest.fixture

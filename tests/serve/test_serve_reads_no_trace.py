@@ -1,10 +1,13 @@
 """Serving derives no trace: it reads each injection's reported span and
 busy cycles, so no request's trace columns are ever built.  Nor does a
 faulted one-shot ``simulate`` that abandoned commands, for its makespan.
+Nor does serving build a placed program's commands: it runs each one
+from its plan.
 
 A spy counts calls of :func:`repro.sim.simulator._finished_columns`,
 the one place deferred trace columns are derived, wherever it was
-imported by name.
+imported by name.  Another (``placed_builds``, in ``tests/conftest.py``)
+records each placed command list built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, random_stalls
 from repro.hw import exynos2100_like
 from repro.models import inception_v3_stem
 from repro.serve import serve
-from repro.sim import SimSession, memo, simulate, simulator
+from repro.sim import SimSession, memo, place_program, simulate, simulator
 
 MIX = ["MobileNetV2", "InceptionV3"]
 DURATION_US = 4000.0
@@ -97,3 +100,33 @@ def test_serve_derives_no_trace(derivations, cache, mode, faulted):
     )
     assert report.num_requests > 0
     assert derivations == []
+
+
+def test_spy_sees_a_placed_build(placed_builds):
+    npu = exynos2100_like()
+    program = compile_model(inception_v3_stem(), npu, CompileOptions.base()).program
+    placed = place_program(program, (2, 0, 1), npu.num_cores)
+    simulate(placed, npu, memo=None)
+    assert not placed_builds
+    assert len(placed.commands) == len(program)
+    assert placed_builds == [placed]
+
+
+@pytest.mark.parametrize("mode", ["gang", "continuous"])
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+def test_serve_builds_no_placed_commands(placed_builds, cache, mode, faulted):
+    npu = exynos2100_like()
+    memo.default_memo().clear()
+    report = serve(
+        MIX,
+        npu,
+        policy="dynamic",
+        rps=3000.0,
+        duration_us=DURATION_US,
+        seed=0,
+        cache=cache,
+        faults=perfbench_style_plan(npu) if faulted else None,
+        mode=mode,
+    )
+    assert report.num_requests > 0
+    assert placed_builds == []
