@@ -61,9 +61,7 @@ def _bind_dep(dep_ends: Sequence[Tuple[float, int]], start: float) -> Optional[i
 
 
 def longest_path_times(
-    program: Program,
-    durations: Sequence[float],
-    engine_prev: Optional[Sequence[int]] = None,
+    program: Program, durations: Sequence[float]
 ) -> Tuple[List[float], List[float], List[Tuple[int, str]]]:
     """Forward longest-path over dependency and engine-order edges.
 
@@ -77,8 +75,7 @@ def longest_path_times(
     """
     commands = program.commands
     n = len(commands)
-    if engine_prev is None:
-        engine_prev = program.engine_queues().prev
+    engine_prev = program.engine_queues().prev
     starts = [0.0] * n
     finishes = [0.0] * n
     bindings: List[Tuple[int, str]] = [(-1, "ready")] * n

@@ -24,8 +24,7 @@ from repro.analysis.compare import paper_configurations
 from repro.compiler.cache import ProgramCache, compile_cached, default_cache
 from repro.compiler.options import CompileOptions
 from repro.hw.config import NPUConfig
-from repro.ir.graph import Graph
-from repro.models import get_model, inception_v3_stem
+from repro.models import resolve_model
 from repro.sim.simulator import simulate
 from repro.sim.stats import collect_stats
 
@@ -58,13 +57,6 @@ class SweepRecord:
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
-
-
-def resolve_model(name: str) -> Graph:
-    """Look up a model by zoo name; ``"stem"`` is the InceptionV3 stem."""
-    if name == "stem":
-        return inception_v3_stem()
-    return get_model(name)
 
 
 def build_grid(

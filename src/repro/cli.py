@@ -39,7 +39,7 @@ from repro.compiler import (
     profile_guided_rebalance,
 )
 from repro.hw import resolve_machine
-from repro.models import ZOO, get_model, inception_v3_stem, model_names
+from repro.models import ZOO, inception_v3_stem, model_names, resolve_model
 from repro.partition import PartitionPolicy
 from repro.sim import collect_stats, estimate_energy, simulate
 from repro.verify import ALL_PASS_NAMES
@@ -94,10 +94,8 @@ def _finite(text: str) -> float:
 
 
 def _graph(name: str):
-    if name == "stem":
-        return inception_v3_stem()
     try:
-        return get_model(name)
+        return resolve_model(name)
     except KeyError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -217,8 +215,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     npu = _machine(args.machine)
     _graph(args.model)  # validate the name before fanning out
-    if args.seeds < 1:
-        raise SystemExit("--seeds must be at least 1")
     seeds = list(range(args.seed, args.seed + args.seeds))
     jobs = build_grid([args.model], seeds=seeds)
     records = run_sweep(jobs, npu, max_workers=args.jobs)
@@ -782,11 +778,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="all four paper configurations")
     common(p, config=False)
     p.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
+        "--seeds", type=_at_least(int, 1), default=1, metavar="N",
         help="simulate N consecutive seeds starting at --seed and average",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(int, 1), default=1, metavar="N",
         help="worker processes for the sweep grid (default: serial)",
     )
     p.set_defaults(func=cmd_sweep)
@@ -957,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: MobileNetV2 InceptionV3)",
     )
     p.add_argument(
-        "--devices", type=int, default=4, metavar="N",
+        "--devices", type=_at_least(int, 1), default=4, metavar="N",
         help="homogeneous fleet size (default 4)",
     )
     p.add_argument(
@@ -1020,7 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the window); repeatable",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(int, 1), default=1, metavar="N",
         help="process-pool width for per-device simulation (default 1; "
         "results are identical at any width)",
     )

@@ -87,14 +87,6 @@ class SearchSpace:
     base: CompileOptions
     knobs: Tuple[Knob, ...]
 
-    @property
-    def num_points(self) -> float:
-        """Size of the full grid (every knob independently set)."""
-        points = 1.0
-        for knob in self.knobs:
-            points *= len(knob.choices) + 1  # +1: the AUTO default
-        return points
-
     # ------------------------------------------------------ candidate algebra
 
     def knob_value(self, options: CompileOptions, knob: Knob) -> object:

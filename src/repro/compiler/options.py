@@ -198,13 +198,6 @@ class CompileOptions:
 
     # ------------------------------------------------------ override access
 
-    @property
-    def has_overrides(self) -> bool:
-        """True when any per-layer autotune knob deviates from heuristics."""
-        return bool(
-            self.direction_overrides or self.tile_overrides or self.stratum_blocks
-        )
-
     def direction_override_map(self) -> Dict[str, PartitionDirection]:
         """The direction pins as a layer -> direction mapping."""
         return {

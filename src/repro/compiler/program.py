@@ -116,66 +116,61 @@ class Placement(NamedTuple):
 
     #: the program that was placed
     source: "Program"
-    #: the source's command list at placement, and its length then
-    commands: List[Command]
-    length: int
     #: physical core of each source core
     cores: Tuple[int, ...]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Program:
     """An executable command set for an ``num_cores``-core NPU.
 
+    A program is a value: ``commands`` is a tuple (any sequence is
+    accepted) and neither field can be rebound.  Each view derived from
+    it -- the structure verdict, the engine queues, the simulator's
+    per-machine plans, the memo fingerprint -- is therefore computed at
+    most once and kept on the program with no validity check.  Programs
+    compare by content and are not hashable.
+
     A program :meth:`placed_on` physical cores is a view of its source:
-    it builds its command list only when something reads it.
+    it builds its commands only when something reads them.
     """
 
     num_cores: int
-    commands: List[Command] = dataclasses.field(default_factory=list)
+    commands: Tuple[Command, ...] = dataclasses.field(default_factory=tuple)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "commands", tuple(self.commands))
 
     def placed_on(self, cores: Tuple[int, ...], num_cores: int) -> "Program":
         """A view of this program on an ``num_cores``-core machine, core
         ``i`` renamed to ``cores[i]``.  Nothing is checked here:
         :func:`repro.sim.multitenant.place_program` checks the map."""
         placed = Program.__new__(Program)
-        placed.num_cores = num_cores
-        placed.__dict__["_placement"] = Placement(
-            self, self.commands, len(self.commands), cores
-        )
+        placed.__dict__.update(num_cores=num_cores, _placement=Placement(self, cores))
         return placed
 
     def __getattr__(self, name: str) -> Any:
         # Reached only for attributes the instance lacks: a placed view
-        # builds its command list on first read, from the source's list
-        # as it was at placement.
+        # builds its commands on first read, from its source's.
         placement = self.__dict__.get("_placement")
         if name != "commands" or placement is None:
             raise AttributeError(f"'Program' object has no attribute {name!r}")
         cores = placement.cores
-        commands = [
+        commands = self.__dict__["commands"] = tuple(
             Command(
                 c.cid, cores[c.core], c.kind, c.deps,
                 c.num_bytes, c.macs, c.cycles, c.layer, c.tag,
             )
-            for c in placement.commands[: placement.length]
-        ]
-        self.__dict__["commands"] = self.__dict__["_placed_commands"] = commands
+            for c in placement.source.commands
+        )
         return commands
 
     def placement(self) -> Optional[Placement]:
-        """What this program is a placed view of, until either command
-        list is rebound (same objects, same lengths); ``None`` for any
-        other program."""
-        placement = self.__dict__.get("_placement")
-        if (
-            placement is None
-            or self.__dict__.get("commands") is not self.__dict__.get("_placed_commands")
-            or placement.source.commands is not placement.commands
-            or len(placement.commands) != placement.length
-        ):
-            return None
-        return placement
+        """What this program is a placed view of; ``None`` for any other
+        program."""
+        return self.__dict__.get("_placement")
 
     def command(self, cid: int) -> Command:
         return self.commands[cid]
@@ -183,16 +178,21 @@ class Program:
     def __len__(self) -> int:
         commands = self.__dict__.get("commands")
         if commands is None:  # a placed view, not built yet
-            return self._placement.length
+            return len(self._placement.source)
         return len(commands)
 
     def engine_queues(self) -> EngineQueues:
         """The per-(core, engine) hardware queues, by command position.
 
-        The one derivation of engine-queue order: the simulator's plan,
-        the happens-before relation, the structure pass's cycle search,
-        the longest-path sweeps and the trace cross-check all read it.
+        The one derivation of engine-queue order, made once per program
+        and shared: the simulator's plan on every machine, the
+        happens-before relation, the structure pass's cycle search, the
+        longest-path sweeps, perflint and the trace cross-check all read
+        the same lists, and none writes to them.
         """
+        queues = self.__dict__.get("_engine_queues")
+        if queues is not None:
+            return queues
         qid_of_key: Dict[Tuple[int, Engine], int] = {}
         members: List[List[int]] = []
         qid_of: List[int] = []
@@ -209,22 +209,20 @@ class Program:
                 prev.append(queue[-1])
                 queue.append(pos)
             qid_of.append(qid)
-        return EngineQueues(list(qid_of_key), members, qid_of, prev)
+        queues = EngineQueues(list(qid_of_key), members, qid_of, prev)
+        self.__dict__["_engine_queues"] = queues
+        return queues
 
     def structure(self) -> "PassResult":
         """The structure pass's verdict on this program
         (:func:`repro.verify.structure.check_structure`), computed once
-        per command list: it is kept while the list is the same object
-        of the same length, the plan cache's rule."""
-        commands = self.commands
-        kept = self.__dict__.get("_structure")
-        if kept is not None and kept[0] is commands and kept[1] == len(commands):
-            return kept[2]
-        # repro.verify imports this module: import it at call time.
-        from repro.verify.structure import check_structure
+        and kept; its readers treat it as read-only."""
+        verdict = self.__dict__.get("_structure")
+        if verdict is None:
+            # repro.verify imports this module: import it at call time.
+            from repro.verify.structure import check_structure
 
-        verdict = check_structure(self)
-        self.__dict__["_structure"] = (commands, len(commands), verdict)
+            verdict = self.__dict__["_structure"] = check_structure(self)
         return verdict
 
     def validate(self) -> None:
@@ -233,8 +231,8 @@ class Program:
         The structure pass is the one definition of a well-formed
         program; the message names its first finding the plan refuses
         (any error, or a forward dependency).  The verdict is
-        :meth:`structure`'s, so a program is checked once per command
-        list however many readers validate it.
+        :meth:`structure`'s, so a program is checked once however many
+        readers validate it.
         """
         from repro.verify.structure import plan_refusal
 
@@ -332,7 +330,8 @@ class ProgramBuilder:
         return cids
 
     def build(self) -> Program:
-        program = Program(num_cores=self.num_cores, commands=list(self._commands))
-        # The verdict stays on the program: the plan and placement reuse it.
+        program = Program(num_cores=self.num_cores, commands=tuple(self._commands))
+        # The verdict stays on the program: the plan, placement and the
+        # verifier reuse it.
         program.validate()
         return program

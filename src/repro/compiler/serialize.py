@@ -109,7 +109,7 @@ def program_from_dict(data: Dict) -> Program:
                 tag=tag,
             )
         )
-    program = Program(num_cores=num_cores, commands=commands)
+    program = Program(num_cores=num_cores, commands=tuple(commands))
     program.validate()
     return program
 

@@ -74,14 +74,6 @@ class Window2D:
     ) -> "Window2D":
         return cls(kernel, kernel, stride, stride, dilation, dilation, padding)
 
-    def pad_before(self, in_h: int, in_w: int) -> Tuple[int, int]:
-        """(top, left) padding for the given input size."""
-        if self.padding is Padding.VALID:
-            return (0, 0)
-        pad_h = _same_pad_total(in_h, self.kernel_h, self.stride_h, self.dilation_h)
-        pad_w = _same_pad_total(in_w, self.kernel_w, self.stride_w, self.dilation_w)
-        return (pad_h // 2, pad_w // 2)
-
     def pad_total(self, in_h: int, in_w: int) -> Tuple[int, int]:
         if self.padding is Padding.VALID:
             return (0, 0)

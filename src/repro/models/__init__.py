@@ -7,7 +7,7 @@ from repro.models.mobiledet_ssd import mobiledet_ssd
 from repro.models.mobilenet_v2 import mobilenet_v2
 from repro.models.mobilenet_v2_ssd import mobilenet_v2_ssd
 from repro.models.unet import unet
-from repro.models.zoo import ZOO, ModelInfo, get_info, get_model, model_names
+from repro.models.zoo import ZOO, ModelInfo, get_info, get_model, model_names, resolve_model
 
 __all__ = [
     "GraphBuilder",
@@ -23,5 +23,6 @@ __all__ = [
     "mobilenet_v2",
     "mobilenet_v2_ssd",
     "model_names",
+    "resolve_model",
     "unet",
 ]

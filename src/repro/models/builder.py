@@ -257,20 +257,6 @@ class GraphBuilder:
 
     # ------------------------------------------------------- common patterns
 
-    def conv_bn_relu(
-        self,
-        x: str,
-        out_channels: int,
-        kernel: int = 3,
-        stride: int = 1,
-        padding: Padding = Padding.SAME,
-        name: Optional[str] = None,
-    ) -> str:
-        """Conv with folded BN and fused ReLU (one NPU operation)."""
-        return self.conv(
-            x, out_channels, kernel, stride, padding=padding, name=name
-        )
-
     def inverted_residual(
         self,
         x: str,

@@ -8,7 +8,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.ir.dtypes import DataType
 from repro.ir.graph import Graph
 from repro.models.deeplab_v3plus import deeplab_v3plus
-from repro.models.inception_v3 import inception_v3
+from repro.models.inception_v3 import inception_v3, inception_v3_stem
 from repro.models.mobiledet_ssd import mobiledet_ssd
 from repro.models.mobilenet_v2 import mobilenet_v2
 from repro.models.mobilenet_v2_ssd import mobilenet_v2_ssd
@@ -85,6 +85,14 @@ def get_model(name: str) -> Graph:
     if key not in _BY_NAME:
         raise KeyError(f"unknown model {name!r}; known: {model_names()}")
     return _BY_NAME[key].factory()
+
+
+def resolve_model(name: str) -> Graph:
+    """A zoo model by name (as :func:`get_model`); ``"stem"`` is the
+    InceptionV3 stem."""
+    if name == "stem":
+        return inception_v3_stem()
+    return get_model(name)
 
 
 def get_info(name: str) -> ModelInfo:

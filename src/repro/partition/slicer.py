@@ -50,9 +50,6 @@ class LayerPartition:
     def num_active_cores(self) -> int:
         return sum(1 for s in self.sub_layers if not s.is_empty)
 
-    def sub_layer(self, core_index: int) -> SubLayer:
-        return self.sub_layers[core_index]
-
     def out_regions(self) -> Tuple[Region, ...]:
         return tuple(s.out_region for s in self.sub_layers)
 

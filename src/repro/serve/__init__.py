@@ -42,7 +42,7 @@ from repro.serve.policies import (
     get_policy,
     validate_assignments,
 )
-from repro.serve.predictor import LatencyPredictor, resolve_graph
+from repro.serve.predictor import LatencyPredictor
 from repro.serve.request import (
     ARRIVAL_KINDS,
     MixEntry,
@@ -95,7 +95,6 @@ __all__ = [
     "make_arrivals",
     "make_fleet",
     "percentile",
-    "resolve_graph",
     "route_requests",
     "serve",
     "serve_fleet",

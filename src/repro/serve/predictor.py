@@ -23,7 +23,7 @@ from repro.compiler.options import CompileOptions
 from repro.compiler.program import Program
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
-from repro.models import get_model, inception_v3_stem
+from repro.models import resolve_model
 from repro.sim import memo as memo_mod
 from repro.sim.memo import USE_DEFAULT_MEMO, SimMemo
 from repro.sim.multitenant import inject_wave, place_program, sub_machine
@@ -36,13 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: one wave's shape: ((model, core group), ...) -- request identities
 #: erased, so equal shapes share placed programs and estimates.
 WavePattern = Tuple[Tuple[str, Tuple[int, ...]], ...]
-
-
-def resolve_graph(name: str) -> Graph:
-    """Zoo lookup; ``"stem"`` is the InceptionV3 stem."""
-    if name == "stem":
-        return inception_v3_stem()
-    return get_model(name)
 
 
 class LatencyPredictor:
@@ -107,7 +100,7 @@ class LatencyPredictor:
     def graph(self, model: str) -> Graph:
         g = self._graphs.get(model)
         if g is None:
-            g = resolve_graph(model)
+            g = resolve_model(model)
             self._graphs[model] = g
         return g
 

@@ -13,17 +13,19 @@ that :func:`repro.sim.simulate` (clean and faulted) and
 :meth:`repro.sim.SimSession.inject` consult.
 
 Keys are *content* fingerprints, not object identities: a program is
-hashed over its command list, a machine over its serialized
-description, and a fault plan contributes its (hashable, frozen) event
-set.  Two different program objects with identical commands therefore
-share one entry, and a clean run never aliases a faulted one.  A
-program :func:`~repro.sim.multitenant.place_program` built is hashed
-over its source's fingerprint and its core map instead of its
-commands -- still a pure function of content, so programs placed from
-content-equal sources on equal core maps share entries, but a placed
-program and a content-equal plain program do not.  The placement lives
-on the placed program (:meth:`~repro.compiler.program.Program.placement`),
-so its digest needs no placed command.
+hashed over its commands, a machine over its serialized description,
+and a fault plan contributes its (hashable, frozen) event set.  Two
+different program objects with identical commands therefore share one
+entry, and a clean run never aliases a faulted one.  A program is a
+value that cannot change once built, so its digest is computed once
+and kept on it.  A program :func:`~repro.sim.multitenant.place_program`
+built is hashed over its source's fingerprint and its core map instead
+of its commands -- still a pure function of content, so programs
+placed from content-equal sources on equal core maps share entries,
+but a placed program and a content-equal plain program do not.  The
+placement lives on the placed program
+(:meth:`~repro.compiler.program.Program.placement`), so its digest
+needs no placed command.
 :func:`repro.sim.simulate` treats an empty fault plan as no plan, so it
 shares the clean entry by construction.
 
@@ -62,36 +64,30 @@ USE_DEFAULT_MEMO = object()
 
 
 def program_fingerprint(program: "Program") -> str:
-    """Content hash of a program's command list.
+    """Content hash of a program's commands, kept on the program (it
+    cannot change, so the digest never goes stale).
 
     A placed program (:meth:`~repro.compiler.program.Program.placement`)
     hashes a tag, its source's fingerprint, its core map and its core
     count instead, without building its commands: that pins its content
     as well, and the tagged text can never equal a command-list text,
     so the two kinds of digest cannot collide.
-
-    Cached on the program object and invalidated the same way the
-    scheduling-plan cache is: when the command list (for a placed
-    program, its placement) is a different object or a different length
-    (in-place same-length mutation is not a supported way to build
-    programs).
     """
+    kept = vars(program)
+    digest = kept.get(_FP_ATTR)
+    if digest is not None:
+        return digest
     placement = program.placement()
-    keyed = program.commands if placement is None else placement
-    cached = getattr(program, _FP_ATTR, None)
-    if cached is not None and cached[0] is keyed and cached[1] == len(program):
-        return cached[2]
     if placement is not None:
         source, cores = placement.source, placement.cores
         text = repr(("placed", program_fingerprint(source), cores, program.num_cores))
     else:
         payload = [
             (c.cid, c.core, c.kind.value, c.deps, c.num_bytes, c.macs, c.cycles, c.layer, c.tag)
-            for c in keyed
+            for c in program.commands
         ]
         text = repr((program.num_cores, payload))
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    program._sim_fingerprint = (keyed, len(program), digest)  # type: ignore[attr-defined]
+    digest = kept[_FP_ATTR] = hashlib.sha256(text.encode()).hexdigest()
     return digest
 
 

@@ -114,10 +114,10 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
     indices (``bool`` refused), at least one per core of ``program``.
 
     The placed program is a view of its source (:meth:`Program.placed_on`):
-    its command list is built only when something reads it.  Its
+    its commands are built only when something reads them.  Its
     simulator plan is the source's plan with the core column renamed and
-    its memo fingerprint derives from the source's -- for as long as
-    neither command list is rebound.
+    its memo fingerprint derives from the source's; neither program can
+    change, so both stay valid.
 
     An injective renaming keeps ids, dependencies, payloads and the
     engine-queue partition, so the placed program's structure verdict is

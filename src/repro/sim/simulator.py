@@ -303,9 +303,8 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     The cache lives on the program object, keyed by the (hashable,
     frozen) machine description, so a program swept across seeds or
     machines keeps one plan per machine and the whole thing is garbage
-    collected with the program.  A plan is kept while the command list
-    (a placed view's: its placement) is the same object of the same
-    length, the rule the program's other caches follow.
+    collected with the program.  A program cannot change, so a plan,
+    once built, is kept with no validity check.
 
     Every reader of a (program, machine) pair comes through here -- the
     event loop, the static bracket and the performance lint -- so this
@@ -319,22 +318,17 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
         raise ValueError(
             f"program targets {program.num_cores} cores, machine has {npu.num_cores}"
         )
-    plans: Dict[NPUConfig, Tuple[object, _SimPlan]] = getattr(program, _PLAN_ATTR, None)
-    if plans is None:
-        plans = {}
-        setattr(program, _PLAN_ATTR, plans)
-    placement = program.placement()
-    keyed = program.commands if placement is None else placement
-    kept = plans.get(npu)
-    if kept is not None and kept[0] is keyed and kept[1].total == len(program):
-        return kept[1]
-    # An empty program has nothing to derive (nor any group machine).
-    if placement is None or not len(program):
-        program.validate()
-        plan = _SimPlan(program, npu)
-    else:
-        plan = _placed_plan(placement.source, placement.cores, npu)
-    plans[npu] = (keyed, plan)
+    plans: Dict[NPUConfig, _SimPlan] = vars(program).setdefault(_PLAN_ATTR, {})
+    plan = plans.get(npu)
+    if plan is None:
+        placement = program.placement()
+        # An empty program has nothing to derive (nor any group machine).
+        if placement is None or not len(program):
+            program.validate()
+            plan = _SimPlan(program, npu)
+        else:
+            plan = _placed_plan(placement.source, placement.cores, npu)
+        plans[npu] = plan
     return plan
 
 
@@ -353,7 +347,7 @@ def _placed_plan(source: Program, cores: Tuple[int, ...], npu: NPUConfig) -> _Si
     """
     cores = cores[: source.num_cores]
     group = dataclasses.replace(npu, cores=tuple(npu.cores[c] for c in cores))
-    plans = getattr(source, _PLAN_ATTR, None) or {}
+    plans = vars(source).get(_PLAN_ATTR, {})
     machine = next(
         (m for m in plans if dataclasses.replace(m, name=npu.name) == group), group
     )

@@ -241,8 +241,8 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
         )
 
     lo, hi, total_bytes, n_dma = _durations(plan, npu)
-    _, lb_finish, lb_bindings = longest_path_times(program, lo, plan.prev_q)
-    _, ub_finish, _ = longest_path_times(program, hi, plan.prev_q)
+    _, lb_finish, lb_bindings = longest_path_times(program, lo)
+    _, ub_finish, _ = longest_path_times(program, hi)
 
     last = max(range(plan.total), key=lambda c: (lb_finish[c], -c))
     critical = lb_finish[last]

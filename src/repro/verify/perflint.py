@@ -179,7 +179,7 @@ def _check_redundant_barriers(
         # Proof: strip the group's edges and re-derive happens-before.
         stripped = Program(
             num_cores=program.num_cores,
-            commands=[
+            commands=tuple(
                 dataclasses.replace(
                     cmd,
                     deps=()
@@ -187,7 +187,7 @@ def _check_redundant_barriers(
                     else tuple(d for d in cmd.deps if d not in member_set),
                 )
                 for cmd in commands
-            ],
+            ),
         )
         hb2 = HappensBefore(stripped)
         if all(hb2.ordered(d, x) for d, x in provided):
@@ -274,7 +274,7 @@ def _check_bus_oversubscription(
     if not plan.total:
         return
     lo, _, _, _ = _durations(plan, npu)
-    starts, finishes, _ = longest_path_times(program, lo, plan.prev_q)
+    starts, finishes, _ = longest_path_times(program, lo)
     makespan = max(finishes)
     if makespan <= 0:
         return

@@ -46,7 +46,7 @@ from repro.verify.liveness import check_liveness
 from repro.verify.perflint import check_perflint
 from repro.verify.races import check_races
 from repro.verify.spm import check_spm
-from repro.verify.structure import check_structure, plan_refusal
+from repro.verify.structure import plan_refusal
 from repro.verify.stratum_check import check_strata
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,10 +88,11 @@ def verify_program(
     frames, serving waves) cannot run the semantic passes, which need
     the graph and the compiler's decisions; the structure pass --
     well-formedness plus the dependency/queue deadlock check -- applies
-    to any command stream and is what this entry point runs.
+    to any command stream and is what this entry point reports, as the
+    verdict the program keeps (:meth:`Program.structure`).
     """
     report = VerifyReport(model=model, config=config, machine=machine)
-    report.passes.append(check_structure(program))
+    report.passes.append(program.structure())
     return report
 
 
@@ -108,7 +109,9 @@ def verify_model(
     ``bounds`` and ``perflint`` are opt-in).  ``spm_tolerance`` is
     forwarded to the capacity pass; ``sim_result`` (a
     :class:`~repro.sim.simulator.SimResult`) arms the bounds pass's
-    makespan cross-check (RPR702/RPR710).
+    makespan cross-check (RPR702/RPR710).  The structure verdict is the
+    one the program keeps (:meth:`Program.structure`), so a program the
+    builder checked is not checked again.
     """
     selected = tuple(passes) if passes is not None else PASS_NAMES
     unknown = set(selected) - set(ALL_PASS_NAMES)
@@ -121,7 +124,7 @@ def verify_model(
         machine=compiled.npu.name,
     )
 
-    structure = check_structure(compiled.program)
+    structure = compiled.program.structure()
     if "structure" in selected:
         report.passes.append(structure)
 

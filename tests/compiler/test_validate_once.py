@@ -1,10 +1,10 @@
-"""The structure pass runs once per command list, not once per reader.
+"""The structure pass runs once per program, not once per reader.
 
 ``ProgramBuilder.build`` keeps its verdict on the program, and the
-simulator's plan and ``place_program`` reuse it while the list is the
-same object of the same length.  A spy counts calls of
-:func:`repro.verify.structure.check_structure`, wherever it was
-imported by name.
+simulator's plan, ``place_program`` and the verifier reuse it: a
+program is a value that cannot change once built.  A spy counts calls
+of :func:`repro.verify.structure.check_structure`, wherever it was
+imported by name; another counts engine-queue derivations.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import sys
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
+from repro.compiler import program as program_mod
 from repro.compiler.program import Program
 from repro.hw import tiny_test_machine
-from repro.sim import place_program, simulate, sub_machine
-from repro.verify import structure
+from repro.sim import place_program, program_fingerprint, simulate, sub_machine
+from repro.sim.simulator import _plan_for
+from repro.verify import ALL_PASS_NAMES, check_trace, structure, verify_model
 
 from tests.conftest import make_chain_graph
 
@@ -77,15 +79,60 @@ def test_hand_built_program_is_validated_once(passes, npu):
     assert passes == [program]
 
 
-def test_same_length_rebind_is_validated_and_planned_again(passes, npu):
+def test_compile_with_verify_and_simulate_validate_once(passes, npu):
+    machine = sub_machine(npu, (0, 1), "t")
+    options = dataclasses.replace(CompileOptions.base(), verify=True)
+    compiled = compile_model(make_chain_graph(), machine, options)
+    simulate(compiled.program, machine, memo=None)
+    assert passes == [compiled.program]
+
+
+def test_verifying_a_built_program_runs_no_pass(passes, npu):
+    machine = sub_machine(npu, (0, 1), "t")
+    compiled = compile_model(make_chain_graph(), machine, CompileOptions.base())
+    passes.clear()
+    report = verify_model(compiled)
+    assert report.passes[0] is compiled.program.structure()
+    assert passes == []
+
+
+def test_engine_queues_derived_once(monkeypatch, npu):
+    derived = []
+    original = program_mod.EngineQueues
+
+    def spy(*fields):
+        derived.append(fields)
+        return original(*fields)
+
+    monkeypatch.setattr(program_mod, "EngineQueues", spy)
+    machine = sub_machine(npu, (0, 1), "t")
+    compiled = compile_model(make_chain_graph(), machine, CompileOptions.halo())
+    result = simulate(compiled.program, machine, memo=None)
+    verify_model(compiled, passes=ALL_PASS_NAMES)
+    check_trace(compiled.program, result.trace)
+    assert len(derived) == 1
+
+
+def test_a_program_is_a_frozen_value(passes, npu):
     machine = sub_machine(npu, (0, 1), "t")
     program = compiled(npu)
+    placed = place_program(program, (2, 0), npu.num_cores)
+    for target in (program, placed):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            target.commands = list(program.commands)
+    assert type(program.commands) is tuple
+    assert Program(2, list(program.commands)) == Program(2, tuple(program.commands))
+    with pytest.raises(TypeError):
+        hash(program)
+
     before = simulate(program, machine, memo=None).makespan_cycles
-    program.commands = [dataclasses.replace(c, macs=10 * c.macs) for c in program.commands]
-    after = simulate(program, machine, memo=None).makespan_cycles
-    fresh = Program(num_cores=2, commands=list(program.commands))
-    assert after == simulate(fresh, machine, memo=None).makespan_cycles != before
-    assert passes == [program, program, fresh]
+    passes.clear()
+    edited = Program(2, [dataclasses.replace(c, macs=10 * c.macs) for c in program.commands])
+    assert simulate(edited, machine, memo=None).makespan_cycles != before
+    assert _plan_for(edited, machine) is not _plan_for(program, machine)
+    assert program_fingerprint(edited) != program_fingerprint(program)
+    assert edited.structure() is not program.structure()
+    assert passes == [edited]
 
 
 def test_hand_built_corrupt_program_raises_from_simulate(npu):

@@ -3,15 +3,13 @@ with its source (its plan's lists and its memo fingerprint)."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
 from repro.compiler.program import Program
 from repro.hw import tiny_test_machine
 from repro.sim import place_program, program_fingerprint, simulate, sub_machine
-from repro.sim.simulator import _plan_for, _SimPlan
+from repro.sim.simulator import _plan_for
 from repro.verify import VerificationError
 
 from tests.conftest import make_chain_graph
@@ -61,16 +59,6 @@ class TestDerivedPlan:
         assert plan.dep_flat is src_plan.dep_flat
         assert plan.static_cols["layer"] is src_plan.static_cols["layer"]
         assert plan.static_cols["core"] == [(2, 0)[c] for c in src_plan.static_cols["core"]]
-
-    def test_rebound_command_list_gets_its_own_plan(self, npu):
-        source = compiled(npu, (0, 1))
-        placed = place_program(source, (0, 1), npu.num_cores)
-        placed.commands = [dataclasses.replace(c, core=1 - c.core) for c in placed.commands]
-        plan = _plan_for(placed, npu)
-        assert plan.static_cols["core"] == _SimPlan(placed, npu).static_cols["core"]
-        assert program_fingerprint(placed) == program_fingerprint(
-            Program(num_cores=placed.num_cores, commands=list(placed.commands))
-        )
 
 
 class TestFingerprint:

@@ -403,6 +403,8 @@ class TestServe:
             ("serve", ["--slo-scale", "nan"]),
             ("fleet", ["--slo-scale", "inf"]),
             ("serve", ["--rps", "inf"]),
+            ("fleet", ["--jobs", "0"]),
+            ("fleet", ["--devices", "0"]),
         ],
     )
     def test_malformed_flags_exit_2(self, capsys, cmd, flags):
@@ -421,6 +423,13 @@ class TestSweepAndTables:
         out = capsys.readouterr().out
         for label in ("1-core", "Base", "+Halo", "+Stratum"):
             assert label in out
+
+    @pytest.mark.parametrize("flags", [["--seeds", "0"], ["--jobs", "0"], ["--jobs", "-2"]])
+    def test_malformed_counts_exit_2(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "stem", *flags])
+        assert exc.value.code == 2
+        assert f"argument {flags[0]}: must be an integer >= 1" in capsys.readouterr().err
 
     def test_table4(self, capsys):
         assert main(["table4", "stem"]) == 0
