@@ -81,12 +81,16 @@ def sweep_configurations(
     seed: int = 0,
     cache: Optional[ProgramCache] = None,
 ) -> Dict[str, ConfigResult]:
-    """Run all configurations on one model; keyed by config label."""
+    """Run all configurations on one model; keyed by config label.
+
+    The configurations compile inside one ``graph.decision_scope()``.
+    """
     options_list = options_list or paper_configurations()
     results: Dict[str, ConfigResult] = {}
-    for options in options_list:
-        result = run_configuration(graph, npu, options, seed=seed, cache=cache)
-        results[result.label] = result
+    with graph.decision_scope():
+        for options in options_list:
+            result = run_configuration(graph, npu, options, seed=seed, cache=cache)
+            results[result.label] = result
     return results
 
 

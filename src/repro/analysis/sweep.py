@@ -16,6 +16,7 @@ grid point is an independent (program, seed) simulation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,6 +25,7 @@ from repro.analysis.compare import paper_configurations
 from repro.compiler.cache import ProgramCache, compile_cached, default_cache
 from repro.compiler.options import CompileOptions
 from repro.hw.config import NPUConfig
+from repro.ir.graph import Graph
 from repro.models import resolve_model
 from repro.sim.simulator import simulate
 from repro.sim.stats import collect_stats
@@ -76,6 +78,7 @@ def build_grid(
 
 def _run_bundle(
     model: str,
+    graph: Graph,
     options: CompileOptions,
     seeds: Sequence[int],
     npu: NPUConfig,
@@ -84,7 +87,6 @@ def _run_bundle(
     """Compile one (model, configuration) once; simulate every seed."""
     if cache is None:
         cache = default_cache()
-    graph = resolve_model(model)
     machine = npu.single_core() if options.is_single_core else npu
     hits_before = cache.hits
     compiled = compile_cached(graph, machine, options, cache=cache)
@@ -123,7 +125,7 @@ def _bundle_worker(args: Tuple) -> List[SweepRecord]:
     still hit.
     """
     model, options, seeds, npu = args
-    return _run_bundle(model, options, seeds, npu, cache=None)
+    return _run_bundle(model, resolve_model(model), options, seeds, npu, cache=None)
 
 
 def _bundles(
@@ -151,7 +153,10 @@ def run_sweep(
 
     ``max_workers=None`` picks ``os.cpu_count()``; anything that
     resolves to one worker runs serially in-process (sharing ``cache``),
-    which is also the deterministic-profiling path.
+    which is also the deterministic-profiling path.  The serial path
+    resolves each model once and compiles its bundles inside the graph's
+    decision scope, so a model's configurations share receptive fields
+    and, where they partition alike, one partition.
     """
     bundles = _bundles(jobs)
     if max_workers is None:
@@ -160,8 +165,15 @@ def run_sweep(
 
     records: List[SweepRecord] = []
     if max_workers <= 1:
-        for model, options, seeds in bundles:
-            records.extend(_run_bundle(model, options, seeds, npu, cache))
+        graphs: Dict[str, Graph] = {}
+        with contextlib.ExitStack() as scopes:
+            for model, options, seeds in bundles:
+                if model not in graphs:
+                    graph = resolve_model(model)
+                    graphs[model] = scopes.enter_context(graph.decision_scope())
+                records.extend(
+                    _run_bundle(model, graphs[model], options, seeds, npu, cache)
+                )
         return records
 
     from concurrent.futures import ProcessPoolExecutor

@@ -96,8 +96,10 @@ def _finite(text: str) -> float:
 def _graph(name: str):
     try:
         return resolve_model(name)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    except KeyError:
+        raise SystemExit(
+            f"unknown model {name!r}; known: {['stem', *model_names()]}"
+        ) from None
 
 
 def cmd_models(args: argparse.Namespace) -> int:
@@ -333,27 +335,28 @@ def cmd_lint(args: argparse.Namespace) -> int:
     reports = []
     for model_name in models:
         graph = _graph(model_name)
-        for config_name in config_names:
-            options = CONFIGS[config_name]()
-            machine = npu.single_core() if options.is_single_core else npu
-            compiled = compile_model(graph, machine, options)
-            # With --trace, simulate first so the bounds pass (when
-            # selected) can cross-check the measured makespan against
-            # its static bracket (RPR702 / RPR710).
-            result = None
-            if args.trace:
-                result = simulate(compiled.program, machine, seed=args.seed)
-            report = verify_model(
-                compiled,
-                passes=args.passes or None,
-                spm_tolerance=args.tolerance,
-                sim_result=result,
-            )
-            if result is not None:
-                report.passes.append(
-                    check_trace(compiled.program, result.trace)
+        with graph.decision_scope():
+            for config_name in config_names:
+                options = CONFIGS[config_name]()
+                machine = npu.single_core() if options.is_single_core else npu
+                compiled = compile_model(graph, machine, options)
+                # With --trace, simulate first so the bounds pass (when
+                # selected) can cross-check the measured makespan against
+                # its static bracket (RPR702 / RPR710).
+                result = None
+                if args.trace:
+                    result = simulate(compiled.program, machine, seed=args.seed)
+                report = verify_model(
+                    compiled,
+                    passes=args.passes or None,
+                    spm_tolerance=args.tolerance,
+                    sim_result=result,
                 )
-            reports.append(report)
+                if result is not None:
+                    report.passes.append(
+                        check_trace(compiled.program, result.trace)
+                    )
+                reports.append(report)
 
     failing = _FAIL_LEVELS[args.fail_on]
     fail_count = sum(
@@ -405,45 +408,46 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     violations = 0
     for model_name in models:
         graph = _graph(model_name)
-        for config_name in config_names:
-            options = CONFIGS[config_name]()
-            machine = npu.single_core() if options.is_single_core else npu
-            compiled = compile_model(graph, machine, options)
-            report = bounds_for(compiled.program, machine)
-            record = {
-                "model": model_name,
-                "config": config_name,
-                **report.to_dict(),
-            }
-            sim_cell = "-"
-            tight_cell = "-"
-            status = "static"
-            if not args.static:
-                result = simulate(compiled.program, machine, seed=args.seed)
-                makespan_us = machine.cycles_to_us(result.makespan_cycles)
-                record["simulated_us"] = makespan_us
-                record["tightness"] = report.tightness(result.makespan_cycles)
-                record["in_bracket"] = report.contains(result.makespan_cycles)
-                sim_cell = f"{makespan_us:.1f}"
-                tight_cell = f"{record['tightness']:.3f}"
-                if record["in_bracket"]:
-                    status = "ok"
-                else:
-                    status = "VIOLATION"
-                    violations += 1
-            records.append(record)
-            rows.append(
-                [
-                    model_name,
-                    config_name,
-                    f"{report.lower_bound_us:.1f}",
-                    sim_cell,
-                    f"{report.upper_bound_us:.1f}",
-                    tight_cell,
-                    report.binding,
-                    status,
-                ]
-            )
+        with graph.decision_scope():
+            for config_name in config_names:
+                options = CONFIGS[config_name]()
+                machine = npu.single_core() if options.is_single_core else npu
+                compiled = compile_model(graph, machine, options)
+                report = bounds_for(compiled.program, machine)
+                record = {
+                    "model": model_name,
+                    "config": config_name,
+                    **report.to_dict(),
+                }
+                sim_cell = "-"
+                tight_cell = "-"
+                status = "static"
+                if not args.static:
+                    result = simulate(compiled.program, machine, seed=args.seed)
+                    makespan_us = machine.cycles_to_us(result.makespan_cycles)
+                    record["simulated_us"] = makespan_us
+                    record["tightness"] = report.tightness(result.makespan_cycles)
+                    record["in_bracket"] = report.contains(result.makespan_cycles)
+                    sim_cell = f"{makespan_us:.1f}"
+                    tight_cell = f"{record['tightness']:.3f}"
+                    if record["in_bracket"]:
+                        status = "ok"
+                    else:
+                        status = "VIOLATION"
+                        violations += 1
+                records.append(record)
+                rows.append(
+                    [
+                        model_name,
+                        config_name,
+                        f"{report.lower_bound_us:.1f}",
+                        sim_cell,
+                        f"{report.upper_bound_us:.1f}",
+                        tight_cell,
+                        report.binding,
+                        status,
+                    ]
+                )
 
     if args.json:
         print(json.dumps(records, indent=2))

@@ -685,24 +685,29 @@ def autotune(
         prune=prune,
         verify_passes=verify_passes,
     )
-    # Evaluation #1: the h1-h8 baseline itself.  It must verify cleanly
-    # (the zoo does) and becomes the incumbent every candidate races.
-    baseline_latency = evaluator.evaluate(options)
-    if baseline_latency is None:
-        raise ValueError(
-            f"baseline configuration {options.label!r} failed verification; "
-            "nothing to search against"
+    # Every candidate compiles inside one decision scope: they share
+    # receptive fields, and candidates with equal direction pins share
+    # one partition.
+    with graph.decision_scope():
+        # Evaluation #1: the h1-h8 baseline itself.  It must verify
+        # cleanly (the zoo does) and becomes the incumbent every
+        # candidate races.
+        baseline_latency = evaluator.evaluate(options)
+        if baseline_latency is None:
+            raise ValueError(
+                f"baseline configuration {options.label!r} failed "
+                "verification; nothing to search against"
+            )
+        baseline_compiled = evaluator.cache.compile(graph, npu, options)
+        space = build_space(
+            graph, npu, options, baseline_compiled, tile_choices=tile_choices
         )
-    baseline_compiled = evaluator.cache.compile(graph, npu, options)
-    space = build_space(
-        graph, npu, options, baseline_compiled, tile_choices=tile_choices
-    )
 
-    rng = random.Random(seed)
-    try:
-        search.search(space, evaluator, rng)
-    except BudgetExhausted:
-        pass
+        rng = random.Random(seed)
+        try:
+            search.search(space, evaluator, rng)
+        except BudgetExhausted:
+            pass
 
     assert evaluator.best_options is not None  # the baseline seeded it
     assert evaluator.best_latency_us is not None

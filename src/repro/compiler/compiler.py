@@ -9,7 +9,7 @@ planning -> tiling and lowering to per-core command streams.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, cast
 
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
@@ -102,26 +102,42 @@ def compile_model(
     ``weight_overrides`` feeds measured per-core rates back into the
     balancer (profile-guided rebalancing; see
     :func:`repro.compiler.feedback.profile_guided_rebalance`).
+
+    The compile runs inside ``graph.decision_scope()``.  Outside any
+    caller's scope it starts and ends cold: every receptive field it
+    memoizes and the partition it keeps are forgotten when it returns
+    or raises.  Inside a caller's scope, compiles of the graph share
+    receptive fields, and those that partition alike (same machine,
+    policy, heuristics and direction pins, no ``weight_overrides``)
+    share one read-only :class:`GraphPartition`.
     """
     options = options or CompileOptions.base()
     graph.validate()
-    try:
+    with graph.decision_scope():
         return _compile(graph, npu, options, weight_overrides)
-    finally:
-        # Receptive fields are memoized per layer for one compile only:
-        # the next compile of this graph starts cold, and no memo entry
-        # outlives the compile that made it.
-        for layer in graph.layers():
-            layer.region_memo.clear()
 
 
-def _compile(
+def _partition(
     graph: Graph,
     npu: NPUConfig,
     options: CompileOptions,
     weight_overrides: Optional[Dict[str, Tuple[float, ...]]],
-) -> CompiledModel:
-    """The pipeline of :func:`compile_model`, run inside its memo scope."""
+) -> GraphPartition:
+    """The graph's partition, kept in its decision scope unless
+    ``weight_overrides`` rebalances it.
+
+    The key is everything :func:`partition_graph` reads besides the
+    graph and the weights.
+    """
+    key = (
+        npu,
+        options.partition_policy,
+        options.enabled_heuristics,
+        options.direction_overrides,
+    )
+    kept = None if weight_overrides else graph.decision_memo.get(key)
+    if kept is not None:
+        return cast(GraphPartition, kept)
     partition = partition_graph(
         graph,
         npu,
@@ -130,6 +146,19 @@ def _compile(
         weight_overrides=weight_overrides,
         direction_overrides=options.direction_override_map() or None,
     )
+    if not weight_overrides:
+        graph.decision_memo[key] = partition
+    return partition
+
+
+def _compile(
+    graph: Graph,
+    npu: NPUConfig,
+    options: CompileOptions,
+    weight_overrides: Optional[Dict[str, Tuple[float, ...]]],
+) -> CompiledModel:
+    """The pipeline of :func:`compile_model`, run inside its decision scope."""
+    partition = _partition(graph, npu, options, weight_overrides)
     if options.schedule_strategy is ScheduleStrategy.DEPTH_FIRST:
         schedule = depth_first_order(graph)
     elif options.schedule_strategy is ScheduleStrategy.BREADTH_FIRST:

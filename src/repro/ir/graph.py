@@ -7,8 +7,9 @@ simulator, reference executor) reads concrete shapes off the graph.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ir.dtypes import DataType
 from repro.ir.ops import Concat, Input, Operator
@@ -26,10 +27,12 @@ class Layer:
     ``region_memo`` caches :meth:`input_region` answers keyed by
     ``(out_region, input_index)``.  The partitioner, stratum builder,
     allocator, tiler and lowering all ask for the same receptive fields,
-    so one compile evaluates each once;
-    :func:`~repro.compiler.compile_model` empties the memo when it
-    returns or raises.  The memo is not part of the layer's value:
-    equality, hashing, ``repr`` and ``dataclasses.replace`` ignore it.
+    so the compiles of one :meth:`Graph.decision_scope` evaluate each
+    once; the outermost exit of that scope empties the memo, and
+    :func:`~repro.compiler.compile_model` runs inside one, so a bare
+    compile starts and ends cold.  The memo is not part of the layer's
+    value: equality, hashing, ``repr`` and ``dataclasses.replace``
+    ignore it.
     """
 
     name: str
@@ -92,6 +95,11 @@ class Graph:
         self._layers: Dict[str, Layer] = {}
         self._order: List[str] = []
         self._consumers: Dict[str, List[str]] = {}
+        #: Whole-graph decisions the compiler keeps while a
+        #: :meth:`decision_scope` is open, keyed by everything they were
+        #: made from besides the graph; the values are opaque here.
+        self.decision_memo: Dict[Hashable, object] = {}
+        self._scope_depth = 0
 
     # ------------------------------------------------------------------ build
 
@@ -163,6 +171,29 @@ class Graph:
 
     def producers(self, name: str) -> List[str]:
         return list(self.layer(name).inputs)
+
+    # -------------------------------------------------------------- decisions
+
+    @contextlib.contextmanager
+    def decision_scope(self) -> Iterator["Graph"]:
+        """Keep this graph's layer decisions from one compile to the next.
+
+        While the scope is open, every layer's ``region_memo`` and the
+        graph's ``decision_memo`` survive each compile, so compiling the
+        graph under several option sets evaluates a receptive field, or
+        partitions the graph for one machine and policy, once.  Scopes
+        nest; only the outermost exit forgets, emptying both on return
+        and on raise.
+        """
+        self._scope_depth += 1
+        try:
+            yield self
+        finally:
+            self._scope_depth -= 1
+            if not self._scope_depth:
+                for layer in self._layers.values():
+                    layer.region_memo.clear()
+                self.decision_memo.clear()
 
     # ------------------------------------------------------------- statistics
 

@@ -128,9 +128,13 @@ def partition_layer(
     )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class GraphPartition:
-    """Partitioning decisions for every layer of a graph."""
+    """Partitioning decisions for every layer of a graph.
+
+    The compiles of one :meth:`~repro.ir.graph.Graph.decision_scope`
+    share one partition, so every stage after partitioning only reads it.
+    """
 
     graph: Graph
     npu: NPUConfig

@@ -7,6 +7,19 @@ import pytest
 from repro.cli import main
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["describe", "run", "compile", "sweep", "lint", "bounds", "autotune",
+     "serve", "fleet", "audit"],
+)
+def test_unknown_model_message_is_bare_and_names_stem(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "nosuch"])
+    message = str(exc.value)
+    assert message.startswith("unknown model 'nosuch'"), message
+    assert "stem" in message
+
+
 class TestModels:
     def test_lists_zoo(self, capsys):
         assert main(["models"]) == 0
