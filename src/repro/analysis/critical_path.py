@@ -73,16 +73,15 @@ def longest_path_times(
     ``bound_by`` one of ``'dep'``/``'engine'``/``'ready'``, resolved by
     the deterministic tie-break rule of this module.
     """
-    commands = program.commands
-    n = len(commands)
+    deps_of = program.columns().deps
+    n = len(deps_of)
     engine_prev = program.engine_queues().prev
     starts = [0.0] * n
     finishes = [0.0] * n
     bindings: List[Tuple[int, str]] = [(-1, "ready")] * n
-    for cmd in commands:
-        cid = cmd.cid
+    for cid, deps in enumerate(deps_of):
         start = 0.0
-        for d in cmd.deps:
+        for d in deps:
             f = finishes[d]
             if f > start:
                 start = f
@@ -92,7 +91,7 @@ def longest_path_times(
         starts[cid] = start
         finishes[cid] = start + durations[cid]
         if start > _EPS:
-            dep = _bind_dep([(finishes[d], d) for d in cmd.deps], start)
+            dep = _bind_dep([(finishes[d], d) for d in deps], start)
             if dep is not None:
                 bindings[cid] = (dep, "dep")
             elif p >= 0 and abs(finishes[p] - start) <= _EPS:

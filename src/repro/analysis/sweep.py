@@ -5,6 +5,8 @@ bundles grid points by (model, configuration) so each bundle compiles
 exactly once -- through the fingerprint cache -- and simulates every
 seed against the cached program; the event-driven simulator additionally
 reuses its per-(program, machine) scheduling plan across those seeds.
+A record reads the simulation result and the program's columns, never a
+trace.
 
 Bundles can be fanned out over a ``ProcessPoolExecutor``: workers are
 handed *model names*, not graphs, and rebuild the graph from the zoo so
@@ -24,11 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.compare import paper_configurations
 from repro.compiler.cache import ProgramCache, compile_cached, default_cache
 from repro.compiler.options import CompileOptions
+from repro.compiler.program import CommandKind
 from repro.hw.config import NPUConfig
 from repro.ir.graph import Graph
 from repro.models import resolve_model
 from repro.sim.simulator import simulate
-from repro.sim.stats import collect_stats
+from repro.sim.stats import TRANSFER_KINDS, program_barrier_groups
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,30 +87,37 @@ def _run_bundle(
     npu: NPUConfig,
     cache: Optional[ProgramCache],
 ) -> List[SweepRecord]:
-    """Compile one (model, configuration) once; simulate every seed."""
+    """Compile one (model, configuration) once; simulate every seed.
+
+    A clean run executes every command once, so the barrier, halo and
+    transfer counts are the program's own, the same for every seed.
+    """
     if cache is None:
         cache = default_cache()
     machine = npu.single_core() if options.is_single_core else npu
     hits_before = cache.hits
     compiled = compile_cached(graph, machine, options, cache=cache)
     cache_hit = cache.hits > hits_before
+    program = compiled.program
+    num_barriers = program_barrier_groups(program)
+    num_halo_exchanges = program.count(CommandKind.HALO_RECV)
+    transfer_bytes = program.total_bytes(TRANSFER_KINDS)
     records: List[SweepRecord] = []
     for seed in seeds:
-        sim = simulate(compiled.program, machine, seed=seed)
-        stats = collect_stats(sim.trace, machine)
+        sim = simulate(program, machine, seed=seed)
         records.append(
             SweepRecord(
                 model=model,
                 label=options.label,
                 seed=seed,
                 single_core=options.is_single_core,
-                latency_us=stats.latency_us,
-                makespan_cycles=stats.makespan_cycles,
-                num_commands=len(compiled.program.commands),
-                num_barriers=stats.num_barriers,
-                num_halo_exchanges=stats.num_halo_exchanges,
+                latency_us=sim.latency_us,
+                makespan_cycles=sim.makespan_cycles,
+                num_commands=len(program),
+                num_barriers=num_barriers,
+                num_halo_exchanges=num_halo_exchanges,
                 num_strata=len(compiled.strata.strata),
-                total_transfer_bytes=stats.total_transfer_bytes,
+                total_transfer_bytes=transfer_bytes,
                 cache_hit=cache_hit,
             )
         )
@@ -157,6 +167,12 @@ def run_sweep(
     resolves each model once and compiles its bundles inside the graph's
     decision scope, so a model's configurations share receptive fields
     and, where they partition alike, one partition.
+
+    A grid point builds no ``Command`` and derives no trace: its
+    latency and makespan come from the :class:`~repro.sim.SimResult`,
+    and its barrier, halo and transfer counts from the program's
+    columns (:func:`repro.sim.stats.program_barrier_groups` shares
+    :func:`~repro.sim.stats.collect_stats`' barrier-group definition).
     """
     bundles = _bundles(jobs)
     if max_workers is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import operator
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -58,6 +59,8 @@ _ENGINE_OF_KIND = {
     CommandKind.HALO_SEND: Engine.STORE,
     CommandKind.BARRIER: Engine.CTRL,
 }
+
+_DMA_ENGINES = (Engine.LOAD, Engine.STORE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +114,36 @@ class EngineQueues(NamedTuple):
     prev: List[int]
 
 
+class ProgramColumns(NamedTuple):
+    """A program's commands as one list per :class:`Command` field,
+    indexed by position; readers treat every list as read-only.
+
+    ``cid`` is ``range(n)`` when each command's id is its position --
+    always, for a program the builder made -- and otherwise the ids as
+    given, which the structure pass reports (RPR204).
+    """
+
+    cid: Sequence[int]
+    core: List[int]
+    kind: List[CommandKind]
+    engine: List[Engine]
+    deps: List[Tuple[int, ...]]
+    num_bytes: List[int]
+    macs: List[int]
+    cycles: List[float]
+    layer: List[str]
+    tag: List[str]
+
+    @classmethod
+    def of_commands(cls, commands: Sequence[Command]) -> "ProgramColumns":
+        """The columns of a command sequence."""
+        columns = cls._make(list(map(operator.attrgetter(name), commands)) for name in cls._fields)
+        cids = columns.cid
+        if all(type(cid) is int for cid in cids) and cids == list(range(len(cids))):
+            columns = columns._replace(cid=range(len(cids)))
+        return columns
+
+
 class Placement(NamedTuple):
     """What a placed program is a view of (:meth:`Program.placed_on`)."""
 
@@ -120,19 +153,31 @@ class Placement(NamedTuple):
     cores: Tuple[int, ...]
 
 
-@dataclasses.dataclass(frozen=True)
+def _check_num_cores(num_cores: int) -> None:
+    if num_cores < 0:
+        raise ValueError(f"num_cores must be >= 0, got {num_cores}")
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class Program:
     """An executable command set for an ``num_cores``-core NPU.
 
-    A program is a value: ``commands`` is a tuple (any sequence is
-    accepted) and neither field can be rebound.  Each view derived from
-    it -- the structure verdict, the engine queues, the simulator's
-    per-machine plans, the memo fingerprint -- is therefore computed at
-    most once and kept on the program with no validity check.  Programs
-    compare by content and are not hashable.
+    A program is its columns (:meth:`columns`): one list per command
+    field, a command's id being its position.  The builder makes a
+    program from columns, and its ``commands`` tuple of :class:`Command`
+    objects is built only when first read.  A program made from a
+    command sequence (``Program(num_cores, commands)``, any sequence,
+    kept as a tuple) derives its columns when they are first read.
+    Everything on the compile, simulate and serve paths reads columns.
+
+    A program is a value: neither field can be rebound, so each view
+    derived from it -- the columns or commands, the structure verdict,
+    the engine queues, the simulator's per-machine plans, the memo
+    fingerprint -- is computed at most once and kept on the program with
+    no validity check.  Programs compare by content and are not hashable.
 
     A program :meth:`placed_on` physical cores is a view of its source:
-    it builds its commands only when something reads them.
+    its columns share every list of the source's but ``core``.
     """
 
     num_cores: int
@@ -141,7 +186,14 @@ class Program:
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        _check_num_cores(self.num_cores)
         object.__setattr__(self, "commands", tuple(self.commands))
+
+    @classmethod
+    def _of_columns(cls, num_cores: int, columns: ProgramColumns) -> "Program":
+        program = cls.__new__(cls)
+        program.__dict__.update(num_cores=num_cores, _columns=columns)
+        return program
 
     def placed_on(self, cores: Tuple[int, ...], num_cores: int) -> "Program":
         """A view of this program on an ``num_cores``-core machine, core
@@ -152,20 +204,39 @@ class Program:
         return placed
 
     def __getattr__(self, name: str) -> Any:
-        # Reached only for attributes the instance lacks: a placed view
-        # builds its commands on first read, from its source's.
-        placement = self.__dict__.get("_placement")
-        if name != "commands" or placement is None:
+        # Reached only for attributes the instance lacks: a program made
+        # from columns, or placed, builds its commands on first read.
+        kept = self.__dict__
+        if name != "commands" or not ("_columns" in kept or "_placement" in kept):
             raise AttributeError(f"'Program' object has no attribute {name!r}")
-        cores = placement.cores
-        commands = self.__dict__["commands"] = tuple(
-            Command(
-                c.cid, cores[c.core], c.kind, c.deps,
-                c.num_bytes, c.macs, c.cycles, c.layer, c.tag,
+        cols = self.columns()
+        commands = kept["commands"] = tuple(
+            map(
+                Command, cols.cid, cols.core, cols.kind, cols.deps,
+                cols.num_bytes, cols.macs, cols.cycles, cols.layer, cols.tag,
             )
-            for c in placement.source.commands
         )
         return commands
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return self.num_cores == other.num_cores and self.columns() == other.columns()
+
+    def columns(self) -> ProgramColumns:
+        """One list per command field, indexed by position.  Made once
+        and kept; its readers treat every list as read-only."""
+        kept = self.__dict__
+        columns = kept.get("_columns")
+        if columns is None:
+            placement = kept.get("_placement")
+            if placement is None:
+                columns = ProgramColumns.of_commands(kept["commands"])
+            else:
+                source, cores = placement.source.columns(), placement.cores
+                columns = source._replace(core=[cores[c] for c in source.core])
+            kept["_columns"] = columns
+        return columns
 
     def placement(self) -> Optional[Placement]:
         """What this program is a placed view of; ``None`` for any other
@@ -176,10 +247,12 @@ class Program:
         return self.commands[cid]
 
     def __len__(self) -> int:
-        commands = self.__dict__.get("commands")
-        if commands is None:  # a placed view, not built yet
-            return len(self._placement.source)
-        return len(commands)
+        kept = self.__dict__
+        if "_columns" in kept:
+            return len(kept["_columns"].cid)
+        if "commands" in kept:
+            return len(kept["commands"])
+        return len(kept["_placement"].source)
 
     def engine_queues(self) -> EngineQueues:
         """The per-(core, engine) hardware queues, by command position.
@@ -193,12 +266,12 @@ class Program:
         queues = self.__dict__.get("_engine_queues")
         if queues is not None:
             return queues
+        cols = self.columns()
         qid_of_key: Dict[Tuple[int, Engine], int] = {}
         members: List[List[int]] = []
         qid_of: List[int] = []
         prev: List[int] = []
-        for pos, cmd in enumerate(self.commands):
-            key = (cmd.core, cmd.engine)
+        for pos, key in enumerate(zip(cols.core, cols.engine)):
             qid = qid_of_key.get(key)
             if qid is None:
                 qid = qid_of_key[key] = len(members)
@@ -241,39 +314,63 @@ class Program:
             raise ValueError(str(refused))
 
     def total_macs(self) -> int:
-        return sum(c.macs for c in self.commands)
+        return sum(self.columns().macs)
 
     def total_bytes(self, kinds: Optional[Iterable[CommandKind]] = None) -> int:
+        cols = self.columns()
         wanted = set(kinds) if kinds is not None else None
         return sum(
-            c.num_bytes
-            for c in self.commands
-            if c.is_dma and (wanted is None or c.kind in wanted)
+            num_bytes
+            for kind, engine, num_bytes in zip(cols.kind, cols.engine, cols.num_bytes)
+            if engine in _DMA_ENGINES and (wanted is None or kind in wanted)
         )
 
     def core_bytes(self, core: int) -> int:
-        return sum(c.num_bytes for c in self.commands if c.core == core and c.is_dma)
+        cols = self.columns()
+        return sum(
+            num_bytes
+            for c, engine, num_bytes in zip(cols.core, cols.engine, cols.num_bytes)
+            if c == core and engine in _DMA_ENGINES
+        )
 
     def count(self, kind: CommandKind) -> int:
-        return sum(1 for c in self.commands if c.kind is kind)
+        return self.columns().kind.count(kind)
+
+
+def _integer(value: Any, field: str) -> int:
+    """``value`` as an ``int``: integers pass (numpy's too), and a
+    ``bool`` or any other value is a ``ValueError`` naming ``field``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"field {field!r} must be an int, got {value!r}")
 
 
 class ProgramBuilder:
-    """Incrementally constructs a Program, tracking engine tails."""
+    """Incrementally constructs a Program, one column per command field.
+
+    Each :meth:`add` appends the command's fields to the columns and
+    returns its id, its position.  Values are taken as given, never
+    coerced: ``deps`` entries, ``num_bytes`` and ``macs`` must be
+    integers (``bool`` refused), or a ``ValueError`` names the field.
+    """
 
     def __init__(self, num_cores: int) -> None:
+        _check_num_cores(num_cores)
         self.num_cores = num_cores
-        self._commands: List[Command] = []
+        self._core: List[int] = []
+        self._kind: List[CommandKind] = []
+        self._engine: List[Engine] = []
+        self._deps: List[Tuple[int, ...]] = []
+        self._num_bytes: List[int] = []
+        self._macs: List[int] = []
+        self._cycles: List[float] = []
+        self._layer: List[str] = []
+        self._tag: List[str] = []
         #: last command id per (core, engine); -1 when none yet.
         self._tails: Dict[Tuple[int, Engine], int] = {}
-
-    def _append(self, cmd: Command) -> int:
-        self._commands.append(cmd)
-        self._tails[(cmd.core, cmd.engine)] = cmd.cid
-        return cmd.cid
-
-    def _next_id(self) -> int:
-        return len(self._commands)
 
     def tail(self, core: int, engine: Engine) -> Optional[int]:
         cid = self._tails.get((core, engine), -1)
@@ -294,18 +391,31 @@ class ProgramBuilder:
         layer: str = "",
         tag: str = "",
     ) -> int:
-        cmd = Command(
-            cid=self._next_id(),
-            core=core,
-            kind=kind,
-            deps=tuple(sorted(set(int(d) for d in deps))),
-            num_bytes=int(num_bytes),
-            macs=int(macs),
-            cycles=float(cycles),
-            layer=layer,
-            tag=tag,
-        )
-        return self._append(cmd)
+        cid = len(self._kind)
+        engine = _ENGINE_OF_KIND[kind]
+        if deps:
+            for dep in deps:
+                if type(dep) is not int:
+                    deps = [_integer(d, "deps") for d in deps]
+                    break
+            deps = tuple(sorted(set(deps)))
+        else:
+            deps = ()
+        if type(num_bytes) is not int:
+            num_bytes = _integer(num_bytes, "num_bytes")
+        if type(macs) is not int:
+            macs = _integer(macs, "macs")
+        self._core.append(core)
+        self._kind.append(kind)
+        self._engine.append(engine)
+        self._deps.append(deps)
+        self._num_bytes.append(num_bytes)
+        self._macs.append(macs)
+        self._cycles.append(float(cycles))
+        self._layer.append(layer)
+        self._tag.append(tag)
+        self._tails[(core, engine)] = cid
+        return cid
 
     def barrier(self, cycles: float, layer: str = "", tag: str = "") -> List[int]:
         """Emit a global barrier: one CTRL command per core.
@@ -330,7 +440,19 @@ class ProgramBuilder:
         return cids
 
     def build(self) -> Program:
-        program = Program(num_cores=self.num_cores, commands=tuple(self._commands))
+        """The program of every command added so far, made from copies
+        of the columns (the builder can go on adding)."""
+        columns = ProgramColumns(
+            range(len(self._kind)),
+            *map(
+                list,
+                (
+                    self._core, self._kind, self._engine, self._deps, self._num_bytes,
+                    self._macs, self._cycles, self._layer, self._tag,
+                ),
+            ),
+        )
+        program = Program._of_columns(self.num_cores, columns)
         # The verdict stays on the program: the plan, placement and the
         # verifier reuse it.
         program.validate()

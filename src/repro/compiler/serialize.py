@@ -54,10 +54,10 @@ def program_from_dict(data: Dict) -> Program:
     """Rebuild a program; validates structure and content.
 
     Values are taken as written, never coerced: ``cid``, ``core``,
-    ``bytes``, ``macs``, every ``deps`` entry and ``num_cores`` must be
-    ints (bools refused), ``cycles`` a number and ``layer`` and ``tag``
-    (optional) strings, or a ``ValueError`` names the field and the
-    command.
+    ``bytes``, ``macs``, every ``deps`` entry and ``num_cores`` (at
+    least 0) must be ints (bools refused), ``cycles`` a number and
+    ``layer`` and ``tag`` (optional) strings, or a ``ValueError`` names
+    the field and the command.
     """
     if not isinstance(data, dict) or data.get("format") != "repro-program":
         raise ValueError("not a repro program document")
@@ -68,6 +68,8 @@ def program_from_dict(data: Dict) -> Program:
     num_cores = data.get("num_cores")
     if not _is_int(num_cores):
         raise ValueError(f"field 'num_cores' must be an int, got {num_cores!r}")
+    if num_cores < 0:
+        raise ValueError(f"field 'num_cores' must be >= 0, got {num_cores}")
     entries = data.get("commands")
     if not isinstance(entries, list):
         raise ValueError(f"field 'commands' must be a list, got {entries!r}")

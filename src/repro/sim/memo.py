@@ -47,6 +47,7 @@ for classic memoize-everything behavior.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.hw.serialize import machine_fingerprint
@@ -59,13 +60,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: attribute under which a program caches its own fingerprint
 _FP_ATTR = "_sim_fingerprint"
 
+#: a command kind's text, as ``kind.value`` reads it
+_VALUE = attrgetter("_value_")
+
 #: sentinel: "use the process-wide default memo" (``None`` disables)
 USE_DEFAULT_MEMO = object()
 
 
 def program_fingerprint(program: "Program") -> str:
     """Content hash of a program's commands, kept on the program (it
-    cannot change, so the digest never goes stale).
+    cannot change, so the digest never goes stale).  The hashed text
+    lists each command's (cid, core, kind text, deps, bytes, MACs,
+    cycles, layer, tag), read from the program's columns.
 
     A placed program (:meth:`~repro.compiler.program.Program.placement`)
     hashes a tag, its source's fingerprint, its core map and its core
@@ -82,10 +88,13 @@ def program_fingerprint(program: "Program") -> str:
         source, cores = placement.source, placement.cores
         text = repr(("placed", program_fingerprint(source), cores, program.num_cores))
     else:
-        payload = [
-            (c.cid, c.core, c.kind.value, c.deps, c.num_bytes, c.macs, c.cycles, c.layer, c.tag)
-            for c in program.commands
-        ]
+        cols = program.columns()
+        payload = list(
+            zip(
+                cols.cid, cols.core, map(_VALUE, cols.kind), cols.deps,
+                cols.num_bytes, cols.macs, cols.cycles, cols.layer, cols.tag,
+            )
+        )
         text = repr((program.num_cores, payload))
     digest = kept[_FP_ATTR] = hashlib.sha256(text.encode()).hexdigest()
     return digest

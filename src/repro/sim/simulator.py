@@ -18,12 +18,12 @@ same loop's fault hooks; a clean run skips them.
 
 This module holds what that loop is built from.  The seed-independent
 part of the precomputation (queues, dependency index, durations) is a
-:class:`_SimPlan`, built once per (program, machine) and cached on the
-program; per-seed jitter tables are cached on the plan, so sweeping
-repeated seeds -- the shape of every serving experiment -- pays only for
-the event loop.  Above all of that sits :mod:`repro.sim.memo`: repeated
-(program, machine, seed, fault plan) requests return the cached result
-without entering the loop at all.
+:class:`_SimPlan`, built from the program's columns once per (program,
+machine) and cached on the program; per-seed jitter tables are cached
+on the plan, so sweeping repeated seeds -- the shape of every serving
+experiment -- pays only for the event loop.  Above all of that sits
+:mod:`repro.sim.memo`: repeated (program, machine, seed, fault plan)
+requests return the cached result without entering the loop at all.
 
 Trace assembly is *columnar and lazy*.  The loop records start,
 completion and engine-free times only; the readiness fields
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,14 +98,16 @@ class SimResult:
 class _SimPlan:
     """Seed-independent scheduling state for one (program, machine) pair.
 
-    Everything here is derived from the command list and the machine
+    Everything here is derived from the program's columns
+    (:meth:`~repro.compiler.program.Program.columns`) and the machine
     description only: flattened engine queues, the reverse-dependency
     index, outstanding-dependency counts, fixed durations and DMA link
-    caps, the static trace fields as per-command columns, plus the
-    flattened (CSR-style) dependency index the columnar trace
-    derivation reduces over.  Per-seed jitter tables are layered
-    on top by :meth:`delays_for` and cached, since serving and sweep
-    workloads revisit a handful of seeds.
+    caps, plus the flattened (CSR-style) dependency index the columnar
+    trace derivation reduces over.  The static trace fields
+    (``static_cols``) and the dependency lists (``deps_of``) are the
+    program's own columns, shared read-only, not copied.  Per-seed
+    jitter tables are layered on top by :meth:`delays_for` and cached,
+    since serving and sweep workloads revisit a handful of seeds.
     """
 
     __slots__ = (
@@ -137,8 +138,9 @@ class _SimPlan:
     )
 
     def __init__(self, program: Program, npu: NPUConfig) -> None:
-        commands = program.commands
-        total = len(commands)
+        cols = program.columns()
+        cores, kinds, deps_of = cols.core, cols.kind, cols.deps
+        total = len(kinds)
         self.total = total
 
         queues = program.engine_queues()
@@ -148,10 +150,10 @@ class _SimPlan:
         #: in-queue predecessor of each command (-1 for queue heads)
         self.prev_q = queues.prev
 
-        self.deps_of = deps_of = [()] * total
+        self.deps_of = deps_of
         self.own_deps_of = own_deps_of = [()] * total
         self.consumers = consumers = [[] for _ in range(total)]
-        self.indeg0 = indeg0 = [0] * total
+        self.indeg0 = list(map(len, deps_of))
         self.base_delay = base_delay = [0.0] * total
         self.evkind = evkind = [_END] * total
         self.dma_cap = dma_cap = [0.0] * total
@@ -163,37 +165,34 @@ class _SimPlan:
         sync_bound = npu.sync_jitter_cycles
         halo_bound = npu.halo_jitter_cycles
         dram_latency = npu.dram_latency_cycles
+        core_config = npu.cores
 
-        for cmd in commands:
-            cid = cmd.cid
-            deps_of[cid] = cmd.deps
-            own_deps_of[cid] = tuple(
-                d for d in cmd.deps if commands[d].core == cmd.core
-            )
-            for dep in cmd.deps:
-                consumers[dep].append(cid)
-                indeg0[cid] += 1
-            kind = cmd.kind
+        for cid, (core, kind, deps, num_bytes, macs, cycles) in enumerate(
+            zip(cores, kinds, deps_of, cols.num_bytes, cols.macs, cols.cycles)
+        ):
+            if deps:
+                own_deps_of[cid] = tuple(d for d in deps if cores[d] == core)
+                for dep in deps:
+                    consumers[dep].append(cid)
             if kind is CommandKind.COMPUTE:
-                base_delay[cid] = compute_cycles(cmd.macs, npu.core(cmd.core))
+                base_delay[cid] = compute_cycles(macs, core_config[core])
             elif kind is CommandKind.BARRIER:
-                base_delay[cid] = cmd.cycles
+                base_delay[cid] = cycles
                 if sync_bound > 0:
                     self.jittered.append((cid, sync_bound))
             else:  # DMA: fixed first-byte latency (plus command-specific
                 # setup like the halo-exchange rendezvous), then the bus.
-                base_delay[cid] = dram_latency + cmd.cycles
+                base_delay[cid] = dram_latency + cycles
                 if kind in (CommandKind.HALO_SEND, CommandKind.HALO_RECV):
                     if halo_bound > 0:
                         self.jittered.append((cid, halo_bound))
-                if cmd.num_bytes > 0:
+                if num_bytes > 0:
                     evkind[cid] = _JOIN_BUS
-                dma_cap[cid] = npu.core(cmd.core).dma_bytes_per_cycle
-                num_bytes_f[cid] = float(cmd.num_bytes)
-        #: the static trace fields (trace.STATIC_FIELDS) as per-cid columns
-        self.static_cols = {
-            name: list(map(attrgetter(name), commands)) for name in STATIC_FIELDS
-        }
+                dma_cap[cid] = core_config[core].dma_bytes_per_cycle
+                num_bytes_f[cid] = float(num_bytes)
+        #: the static trace fields (trace.STATIC_FIELDS): the program's
+        #: own columns, shared, not copied
+        self.static_cols = {name: getattr(cols, name) for name in STATIC_FIELDS}
 
         # Flattened dependency index (CSR layout, non-empty rows only):
         # the post-run readiness derivation reduces completion times over

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from repro.compiler.program import CommandKind, Engine
+from repro.compiler.program import CommandKind, Engine, Program
 from repro.hw.config import NPUConfig
 from repro.sim.trace import Trace
 
 #: global<->local DRAM transfers -- the Table 4 "data transfer" metric.
-_TRANSFER_KINDS = (
+TRANSFER_KINDS = (
     CommandKind.LOAD_INPUT,
     CommandKind.LOAD_WEIGHT,
     CommandKind.STORE_OUTPUT,
@@ -122,8 +122,9 @@ class RunStats:
         return cycles * (self.latency_us / self.makespan_cycles)
 
 
-def count_barrier_groups(trace: Trace) -> int:
-    """Distinct synchronization points in a trace.
+def barrier_groups(barriers: Iterable[Tuple[str, str, int]]) -> int:
+    """Distinct synchronization points among BARRIER commands, given as
+    ``(layer, tag, core)`` triples in any order.
 
     One barrier emission is a group of BARRIER commands sharing a
     (layer, tag) label, one per *participating* core.  Dividing the raw
@@ -132,18 +133,37 @@ def count_barrier_groups(trace: Trace) -> int:
     whose barriers span only that group; a wave's count is the sum over
     its injections' traces.
     """
-    layers = trace.column("layer")
-    tags = trace.column("tag")
-    core_col = trace.column("core")
-    events_by_label: Dict[Tuple[str, str], List[int]] = {}
-    for p in trace.positions("kind", CommandKind.BARRIER):
-        events_by_label.setdefault((layers[p], tags[p]), []).append(core_col[p])
+    cores_by_label: Dict[Tuple[str, str], List[int]] = {}
+    for layer, tag, core in barriers:
+        cores_by_label.setdefault((layer, tag), []).append(core)
     groups = 0
-    for cores in events_by_label.values():
+    for cores in cores_by_label.values():
         # A label normally appears once per participating core; repeated
         # same-label emissions show up as multiples of the core set.
         groups += max(1, len(cores) // len(set(cores)))
     return groups
+
+
+def count_barrier_groups(trace: Trace) -> int:
+    """Distinct synchronization points among a trace's events
+    (:func:`barrier_groups`)."""
+    layers, tags, cores = map(trace.column, ("layer", "tag", "core"))
+    return barrier_groups(
+        (layers[p], tags[p], cores[p]) for p in trace.positions("kind", CommandKind.BARRIER)
+    )
+
+
+def program_barrier_groups(program: Program) -> int:
+    """Distinct synchronization points among a program's commands
+    (:func:`barrier_groups`): a clean run's :func:`count_barrier_groups`,
+    which runs every command once, without its trace."""
+    cols = program.columns()
+    barrier = CommandKind.BARRIER
+    return barrier_groups(
+        (cols.layer[p], cols.tag[p], cols.core[p])
+        for p, kind in enumerate(cols.kind)
+        if kind is barrier
+    )
 
 
 def collect_stats(trace: Trace, npu: NPUConfig) -> RunStats:
@@ -168,7 +188,7 @@ def collect_stats(trace: Trace, npu: NPUConfig) -> RunStats:
         for p in trace.positions("core", core):
             kind = kind_col[p]
             nb = bytes_col[p]
-            if kind in _TRANSFER_KINDS:
+            if kind in TRANSFER_KINDS:
                 bytes_by_kind[kind] = bytes_by_kind.get(kind, 0) + nb
                 transfer += nb
             elif kind in _HALO_KINDS:

@@ -260,10 +260,10 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
     lower = max(critical, engine_serial, bus_floor)
 
     path = walk_bindings(lb_bindings, last)
-    commands = program.commands
+    kinds = plan.static_cols["kind"]
     breakdown: Dict[str, float] = {}
     for cid, _bound_by in path:
-        cat = category_of(commands[cid].kind)
+        cat = category_of(kinds[cid])
         breakdown[cat] = breakdown.get(cat, 0.0) + lo[cid]
 
     if bus_floor >= lower:

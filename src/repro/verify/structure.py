@@ -26,7 +26,7 @@ Codes:
 from __future__ import annotations
 
 import math
-from typing import Container, List, Optional
+from typing import Any, Container, Dict, List, Optional, Sequence
 
 from repro.compiler.program import CommandKind, Program
 from repro.verify.diagnostics import Diagnostic, PassResult, Severity
@@ -44,53 +44,55 @@ def plan_refusal(result: PassResult) -> Optional[Diagnostic]:
 
 
 def check_structure(program: Program) -> PassResult:
-    """Run the structure pass over ``program``."""
+    """Run the structure pass over ``program``'s columns."""
     result = PassResult(name="structure")
-    commands = program.commands
+    cols = program.columns()
+    cids = cols.cid
     num_cores = program.num_cores
-    n = len(commands)
+    n = len(cids)
 
     # With every id at its position, a dependency names a command iff it
     # lies in range(n), and it points backward iff it is below the id.
-    cids = [c.cid for c in commands]
-    ids_off = cids != list(range(n))
-    known: Container[int] = set(cids) if ids_off else range(n)
+    ids_off = not isinstance(cids, range)
+    known: Container[int] = set(cids) if ids_off else cids
     forward = False
     edges = 0
-    for pos, cmd in enumerate(commands):
-        if cmd.cid != pos:
+    for pos, (cid, core, kind, deps, num_bytes, macs, cycles) in enumerate(
+        zip(cids, cols.core, cols.kind, cols.deps, cols.num_bytes, cols.macs, cols.cycles)
+    ):
+        if cid != pos:
             result.emit(
                 "RPR204",
-                f"command id {cmd.cid} at position {pos}",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
+                f"command id {cid} at position {pos}",
+                layer=cols.layer[pos],
+                core=core,
+                cid=cid,
                 hint="command ids must be dense and unique: each is its "
                 "position (the builder assigns them)",
             )
-        if not 0 <= cmd.core < num_cores:
+        if not 0 <= core < num_cores:
             result.emit(
                 "RPR205",
-                f"core index {cmd.core} outside machine with "
+                f"core index {core} outside machine with "
                 f"{num_cores} core(s)",
-                layer=cmd.layer,
-                cid=cmd.cid,
+                layer=cols.layer[pos],
+                cid=cid,
             )
-        deps = cmd.deps
         edges += len(deps)
         if deps and (
-            ids_off or min(deps) < 0 or max(deps) >= cmd.cid or len(set(deps)) < len(deps)
+            ids_off or min(deps) < 0 or max(deps) >= cid or len(set(deps)) < len(deps)
         ):
-            forward |= _check_deps(result, cmd, known)
-        kind = cmd.kind
+            at = {"layer": cols.layer[pos], "core": core, "cid": cid}
+            forward |= _check_deps(result, cid, deps, known, at)
         if kind is _COMPUTE:
-            bad = cmd.num_bytes or cmd.macs < 0
+            bad = num_bytes or macs < 0
         elif kind is _BARRIER:
-            bad = cmd.num_bytes or cmd.macs
+            bad = num_bytes or macs
         else:
-            bad = cmd.num_bytes < 0 or cmd.macs
-        if bad or not 0.0 <= cmd.cycles < math.inf:
-            _check_payload(result, cmd)
+            bad = num_bytes < 0 or macs
+        if bad or not 0.0 <= cycles < math.inf:
+            at = {"layer": cols.layer[pos], "core": core, "cid": cid}
+            _check_payload(result, kind, num_bytes, macs, cycles, at)
 
     # Otherwise every dependency and queue edge points backward, so no
     # cycle can exist.
@@ -101,125 +103,84 @@ def check_structure(program: Program) -> PassResult:
     return result
 
 
-def _check_deps(result: PassResult, cmd, known: Container[int]) -> bool:
-    """Report ``cmd``'s bad dependencies; True if one points forward."""
+def _check_deps(
+    result: PassResult, cid: int, deps: Sequence[int], known: Container[int], at: Dict[str, Any]
+) -> bool:
+    """Report command ``cid``'s bad dependencies; True if one points
+    forward.  ``at`` locates the diagnostics."""
     forward = False
-    for dep in cmd.deps:
-        if dep == cmd.cid:
-            result.emit(
-                "RPR202",
-                "command depends on itself",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
-            )
+    for dep in deps:
+        if dep == cid:
+            result.emit("RPR202", "command depends on itself", **at)
         elif dep not in known:
             result.emit(
                 "RPR201",
                 f"dangling dependency {dep} does not name any command",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
                 hint="a command was removed without patching its consumers",
+                **at,
             )
-        elif dep > cmd.cid:
+        elif dep > cid:
             forward = True
             result.emit(
                 "RPR201",
-                f"dependency {dep} points forward past command {cmd.cid}",
+                f"dependency {dep} points forward past command {cid}",
                 severity=Severity.WARNING,
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
                 hint="the builder only emits backward edges; forward edges "
                 "deadlock when both commands share an engine queue",
+                **at,
             )
-    repeated = sorted({d for d in cmd.deps if cmd.deps.count(d) > 1})
+    repeated = sorted({d for d in deps if deps.count(d) > 1})
     if repeated:
         result.emit(
             "RPR207",
             "duplicate dependency entries for "
             + ", ".join(f"#{d}" for d in repeated),
-            layer=cmd.layer,
-            core=cmd.core,
-            cid=cmd.cid,
             hint="list each dependency once",
+            **at,
         )
     return forward
 
 
-def _check_payload(result: PassResult, cmd) -> None:
-    if cmd.is_dma:
-        if cmd.num_bytes < 0:
+def _check_payload(
+    result: PassResult,
+    kind: CommandKind,
+    num_bytes: int,
+    macs: int,
+    cycles: float,
+    at: Dict[str, Any],
+) -> None:
+    if kind is _COMPUTE:
+        if macs < 0:
+            result.emit("RPR206", f"negative MAC count {macs}", **at)
+        if num_bytes:
             result.emit(
-                "RPR206",
-                f"negative byte count {cmd.num_bytes}",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
+                "RPR206", f"compute command carries {num_bytes} bytes of DMA payload", **at
             )
-        if cmd.macs:
-            result.emit(
-                "RPR206",
-                f"DMA command carries {cmd.macs} MACs",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
-            )
-    elif cmd.kind is CommandKind.COMPUTE:
-        if cmd.macs < 0:
-            result.emit(
-                "RPR206",
-                f"negative MAC count {cmd.macs}",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
-            )
-        if cmd.num_bytes:
-            result.emit(
-                "RPR206",
-                f"compute command carries {cmd.num_bytes} bytes of DMA payload",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
-            )
-    else:  # BARRIER
-        if cmd.num_bytes or cmd.macs:
-            result.emit(
-                "RPR206",
-                "barrier command carries a DMA/compute payload",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
-            )
-    if not math.isfinite(cmd.cycles):
-        result.emit(
-            "RPR206",
-            f"non-finite cycles {cmd.cycles}",
-            layer=cmd.layer,
-            core=cmd.core,
-            cid=cmd.cid,
-        )
-    elif cmd.cycles < 0:
-        result.emit(
-            "RPR206",
-            f"negative cycles {cmd.cycles}",
-            layer=cmd.layer,
-            core=cmd.core,
-            cid=cmd.cid,
-        )
+    elif kind is _BARRIER:
+        if num_bytes or macs:
+            result.emit("RPR206", "barrier command carries a DMA/compute payload", **at)
+    else:  # DMA
+        if num_bytes < 0:
+            result.emit("RPR206", f"negative byte count {num_bytes}", **at)
+        if macs:
+            result.emit("RPR206", f"DMA command carries {macs} MACs", **at)
+    if not math.isfinite(cycles):
+        result.emit("RPR206", f"non-finite cycles {cycles}", **at)
+    elif cycles < 0:
+        result.emit("RPR206", f"negative cycles {cycles}", **at)
 
 
 def _check_cycles(result: PassResult, program: Program) -> None:
     """Kahn's algorithm over dependency edges + engine queue order."""
-    commands = program.commands
-    n = len(commands)
-    index = {c.cid: i for i, c in enumerate(commands)}
+    cols = program.columns()
+    cids = cols.cid
+    n = len(cids)
+    index = {cid: i for i, cid in enumerate(cids)}
 
     succs: List[List[int]] = [[] for _ in range(n)]
     indeg = [0] * n
-    for i, (cmd, prev) in enumerate(zip(commands, program.engine_queues().prev)):
-        for dep in cmd.deps:
+    for i, (deps, prev) in enumerate(zip(cols.deps, program.engine_queues().prev)):
+        for dep in deps:
             j = index.get(dep)
             if j is None or j == i:
                 continue  # dangling/self deps already reported
@@ -238,16 +199,17 @@ def _check_cycles(result: PassResult, program: Program) -> None:
             if indeg[j] == 0:
                 ready.append(j)
     if done < n:
-        stuck = [commands[i] for i in range(n) if indeg[i] > 0]
-        sample = ", ".join(f"#{c.cid}" for c in stuck[:6])
+        stuck = [i for i in range(n) if indeg[i] > 0]
+        sample = ", ".join(f"#{cids[i]}" for i in stuck[:6])
+        first = stuck[0]
         result.emit(
             "RPR203",
             f"{len(stuck)} command(s) can never start "
             f"(dependency/queue cycle): {sample}",
             severity=Severity.ERROR,
-            layer=stuck[0].layer,
-            core=stuck[0].core,
-            cid=stuck[0].cid,
+            layer=cols.layer[first],
+            core=cols.core[first],
+            cid=cids[first],
             hint="a dependency points forward across an engine queue, "
             "forming a wait cycle with program order",
         )

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.compiler.program import (
@@ -90,6 +91,66 @@ class TestBuilder:
         c = b.add(0, CommandKind.COMPUTE, macs=1)
         s = b.add(0, CommandKind.STORE_OUTPUT, num_bytes=1)
         assert b.frontier() == [l, c, s]
+
+    def test_build_leaves_the_builder_usable(self):
+        b = ProgramBuilder(1)
+        b.add(0, CommandKind.LOAD_INPUT, num_bytes=1)
+        first = b.build()
+        b.add(0, CommandKind.COMPUTE, deps=[0], macs=1)
+        assert len(first) == 1 and len(b.build()) == 2
+
+
+class TestBuilderTakesValuesAsGiven:
+    """The builder used to pass ``deps``, ``num_bytes`` and ``macs``
+    through ``int()``: 100.9 bytes stored 100, 10.5 MACs stored 10,
+    ``deps=[0.7]`` depended on command 0 and ``deps=[True]`` on
+    command 1."""
+
+    @staticmethod
+    def two_loads():
+        b = ProgramBuilder(1)
+        b.add(0, CommandKind.LOAD_INPUT, num_bytes=1)
+        b.add(0, CommandKind.LOAD_INPUT, num_bytes=1)
+        return b
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("num_bytes", {"num_bytes": 100.9}),
+            ("num_bytes", {"num_bytes": 64.0}),
+            ("num_bytes", {"num_bytes": True}),
+            ("num_bytes", {"num_bytes": "8"}),
+            ("macs", {"macs": 10.5}),
+            ("macs", {"macs": False}),
+            ("deps", {"deps": [0.7]}),
+            ("deps", {"deps": [True]}),
+            ("deps", {"deps": [0, 1.0]}),
+        ],
+    )
+    def test_non_integral_value_names_the_field(self, field, kwargs):
+        kind = CommandKind.COMPUTE if field == "macs" else CommandKind.STORE_OUTPUT
+        b = self.two_loads()
+        with pytest.raises(ValueError, match=f"field '{field}' must be an int"):
+            b.add(0, kind, **kwargs)
+        assert len(b.build()) == 2
+
+    def test_numpy_integers_accepted_as_ints(self):
+        b = self.two_loads()
+        cid = b.add(
+            0, CommandKind.COMPUTE, deps=[np.int64(1), np.int32(0), 1], macs=np.int64(7)
+        )
+        store = b.add(0, CommandKind.STORE_OUTPUT, deps=[cid], num_bytes=np.uint16(9))
+        program = b.build()
+        compute, stored = program.command(cid), program.command(store)
+        assert compute.deps == (0, 1) and compute.macs == 7 and stored.num_bytes == 9
+        assert {type(v) for v in (*compute.deps, compute.macs, stored.num_bytes)} == {int}
+
+    def test_negative_num_cores_refused(self):
+        with pytest.raises(ValueError, match="num_cores must be >= 0"):
+            ProgramBuilder(-1)
+        with pytest.raises(ValueError, match="num_cores must be >= 0"):
+            Program(num_cores=-1)
+        assert len(ProgramBuilder(0).build()) == len(Program(0)) == 0
 
 
 class TestValidation:

@@ -132,6 +132,12 @@ class TestNoCoercion:
         with pytest.raises(ValueError, match="field 'num_cores' must be an int"):
             program_from_dict(doc)
 
+    def test_negative_num_cores_rejected(self):
+        # It used to load with no commands and simulate to 0 us.
+        doc = {"format": "repro-program", "version": 1, "num_cores": -1, "commands": []}
+        with pytest.raises(ValueError, match="field 'num_cores' must be >= 0, got -1"):
+            program_from_dict(doc)
+
     @pytest.mark.parametrize("key", ["cid", "core", "kind", "deps", "bytes", "macs", "cycles"])
     def test_missing_key_rejected(self, compiled, key):
         model, _ = compiled

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.compiler.program import Program
+from repro.compiler.program import Command, Program
 from repro.hw import tiny_test_machine
 from repro.ir import (
     Add,
@@ -21,21 +23,58 @@ from repro.ir import (
     TensorShape,
     Window2D,
 )
+from repro.sim import simulator
 
 
 @pytest.fixture
 def placed_builds(monkeypatch):
     """Placed programs whose command list is built while the test runs:
-    ``Program.__getattr__`` is the one place that builds them."""
+    ``Program.__getattr__`` is the one place that builds them (it builds
+    every other program's commands too, which are not counted)."""
     calls = []
     original = Program.__getattr__
 
     def spy(self, name):
-        if name == "commands":
+        if name == "commands" and self.placement() is not None:
             calls.append(self)
         return original(self, name)
 
     monkeypatch.setattr(Program, "__getattr__", spy)
+    return calls
+
+
+@pytest.fixture
+def command_builds(monkeypatch):
+    """Count ``Command`` constructions while the test runs (a program
+    is its columns: its commands are built only when read)."""
+    calls = []
+    original = Command.__post_init__
+
+    def spy(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(Command, "__post_init__", spy)
+    return calls
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Count trace-column derivations while the test runs: calls of
+    :func:`repro.sim.simulator._finished_columns`, the one place deferred
+    trace columns are derived, wherever it was imported by name."""
+    calls = []
+    original = simulator._finished_columns
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and (
+            getattr(module, "_finished_columns", None) is original
+        ):
+            monkeypatch.setattr(module, "_finished_columns", spy)
     return calls
 
 

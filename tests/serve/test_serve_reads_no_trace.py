@@ -1,18 +1,17 @@
 """Serving derives no trace: it reads each injection's reported span and
 busy cycles, so no request's trace columns are ever built.  Nor does a
 faulted one-shot ``simulate`` that abandoned commands, for its makespan.
-Nor does serving build a placed program's commands: it runs each one
-from its plan.
+Nor does serving build a placed program's commands, or any program's:
+it runs each one from its plan, and the bounds read columns.
 
-A spy counts calls of :func:`repro.sim.simulator._finished_columns`,
-the one place deferred trace columns are derived, wherever it was
-imported by name.  Another (``placed_builds``, in ``tests/conftest.py``)
-records each placed command list built.
+A spy (``derivations``, in ``tests/conftest.py``) counts calls of
+:func:`repro.sim.simulator._finished_columns`, the one place deferred
+trace columns are derived, wherever it was imported by name.  Others
+record each placed command list built (``placed_builds``) and count
+``Command`` constructions (``command_builds``).
 """
 
 from __future__ import annotations
-
-import sys
 
 import pytest
 
@@ -22,28 +21,10 @@ from repro.faults import CoreOffline, FaultPlan, ThermalThrottle, random_stalls
 from repro.hw import exynos2100_like
 from repro.models import inception_v3_stem
 from repro.serve import serve
-from repro.sim import SimSession, memo, place_program, simulate, simulator
+from repro.sim import SimSession, memo, place_program, simulate
 
 MIX = ["MobileNetV2", "InceptionV3"]
 DURATION_US = 4000.0
-
-
-@pytest.fixture
-def derivations(monkeypatch):
-    """Count trace-column derivations while the test runs."""
-    calls = []
-    original = simulator._finished_columns
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("repro") and (
-            getattr(module, "_finished_columns", None) is original
-        ):
-            monkeypatch.setattr(module, "_finished_columns", spy)
-    return calls
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +95,7 @@ def test_spy_sees_a_placed_build(placed_builds):
 
 @pytest.mark.parametrize("mode", ["gang", "continuous"])
 @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
-def test_serve_builds_no_placed_commands(placed_builds, cache, mode, faulted):
+def test_serve_builds_no_placed_commands(placed_builds, command_builds, cache, mode, faulted):
     npu = exynos2100_like()
     memo.default_memo().clear()
     report = serve(
@@ -129,4 +110,4 @@ def test_serve_builds_no_placed_commands(placed_builds, cache, mode, faulted):
         mode=mode,
     )
     assert report.num_requests > 0
-    assert placed_builds == []
+    assert placed_builds == [] and command_builds == []
