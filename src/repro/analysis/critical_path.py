@@ -172,14 +172,18 @@ class CriticalPath:
 
 
 def critical_path(program: Program, trace: Trace) -> CriticalPath:
-    """Extract the critical path of a simulated run."""
+    """Extract the critical path of a simulated run.
+
+    The program is read from its deps column and engine queues, a
+    command by its position (its id, in any program the simulator
+    runs); every other field comes from the trace."""
     if not len(trace):
         return CriticalPath(segments=[], makespan_cycles=0.0)
     cids, cores, kinds, layers, tags, starts, ends = map(
         trace.column, ("cid", "core", "kind", "layer", "tag", "start", "end")
     )
     pos_of = {cid: p for p, cid in enumerate(cids)}
-    commands = {c.cid: c for c in program.commands}
+    deps_of = program.columns().deps
     engine_prev = program.engine_queues().prev
 
     current: Optional[int] = cids[max(range(len(ends)), key=ends.__getitem__)]
@@ -189,7 +193,7 @@ def critical_path(program: Program, trace: Trace) -> CriticalPath:
         guard += 1
         p = pos_of[current]
         start = starts[p]
-        dep_ends = [(ends[pos_of[d]], d) for d in commands[current].deps]
+        dep_ends = [(ends[pos_of[d]], d) for d in deps_of[current]]
         bound_by = "ready"
         # a dependency that completed exactly at our start binds us;
         # ties resolve deterministically (latest end, then lowest cid).

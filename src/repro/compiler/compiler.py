@@ -42,10 +42,12 @@ class CompiledModel:
 
     @property
     def num_barriers(self) -> int:
-        """Number of global synchronization points in the program."""
-        if self.npu.num_cores == 0:
-            return 0
-        return self.program.count(CommandKind.BARRIER) // self.npu.num_cores
+        """Number of synchronization points in the program
+        (:func:`repro.sim.stats.program_barrier_groups`)."""
+        # repro.sim imports this module: import it at call time.
+        from repro.sim.stats import program_barrier_groups
+
+        return program_barrier_groups(self.program)
 
     @property
     def num_halo_exchanges(self) -> int:

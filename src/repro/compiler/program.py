@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import operator
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -36,6 +37,15 @@ class Engine(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @functools.cached_property
+    def index(self) -> int:
+        """This engine's position in declaration order.
+
+        Kept on the member after the first read: queue maps key on it,
+        an int that hashes in C, where an enum member hashes in Python.
+        """
+        return list(Engine).index(self)
+
 
 class CommandKind(enum.Enum):
     LOAD_INPUT = "load-input"
@@ -48,6 +58,15 @@ class CommandKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    @functools.cached_property
+    def engine(self) -> Engine:
+        """The queue this kind runs on.
+
+        Kept on the member after the first read, so the builder's reads
+        are attribute reads, not enum-keyed dict lookups.
+        """
+        return _ENGINE_OF_KIND[self]
 
 
 _ENGINE_OF_KIND = {
@@ -85,7 +104,7 @@ class Command:
     engine: Engine = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "engine", _ENGINE_OF_KIND[self.kind])
+        object.__setattr__(self, "engine", self.kind.engine)
 
     @property
     def is_dma(self) -> bool:
@@ -135,13 +154,34 @@ class ProgramColumns(NamedTuple):
     tag: List[str]
 
     @classmethod
+    def of_fields(
+        cls,
+        cid: Sequence[int],
+        core: List[int],
+        kind: List[CommandKind],
+        deps: List[Tuple[int, ...]],
+        num_bytes: List[int],
+        macs: List[int],
+        cycles: List[float],
+        layer: List[str],
+        tag: List[str],
+    ) -> "ProgramColumns":
+        """The columns of one list per :class:`Command` field, ``engine``
+        derived from ``kind``.  The ids become ``range(n)`` when each is
+        exactly its position (an ``int`` equal to it)."""
+        if all(type(c) is int for c in cid) and cid == list(range(len(cid))):
+            cid = range(len(cid))
+        engine = [k.engine for k in kind]
+        return cls(cid, core, kind, engine, deps, num_bytes, macs, cycles, layer, tag)
+
+    @classmethod
     def of_commands(cls, commands: Sequence[Command]) -> "ProgramColumns":
         """The columns of a command sequence."""
-        columns = cls._make(list(map(operator.attrgetter(name), commands)) for name in cls._fields)
-        cids = columns.cid
-        if all(type(cid) is int for cid in cids) and cids == list(range(len(cids))):
-            columns = columns._replace(cid=range(len(cids)))
-        return columns
+        return cls.of_fields(*(list(map(operator.attrgetter(name), commands)) for name in _FIELDS))
+
+
+#: the fields a :class:`Command` is made of, in order
+_FIELDS = tuple(field.name for field in dataclasses.fields(Command) if field.init)
 
 
 class Placement(NamedTuple):
@@ -163,16 +203,18 @@ class Program:
     """An executable command set for an ``num_cores``-core NPU.
 
     A program is its columns (:meth:`columns`): one list per command
-    field, a command's id being its position.  The builder makes a
-    program from columns, and its ``commands`` tuple of :class:`Command`
-    objects is built only when first read.  A program made from a
-    command sequence (``Program(num_cores, commands)``, any sequence,
-    kept as a tuple) derives its columns when they are first read.
-    Everything on the compile, simulate and serve paths reads columns.
+    field, a command's id being its position.  Every program holds
+    columns: the builder makes them, and ``Program(num_cores,
+    commands)`` (any sequence of :class:`Command`) turns its commands
+    into columns when it is made.  The ``commands`` tuple is built from
+    the columns only when first read, which in the package only the
+    session's deadlock message does: every other reader reads a command
+    by its position, through the columns, :meth:`groups` and
+    :meth:`engine_queues`.
 
     A program is a value: neither field can be rebound, so each view
-    derived from it -- the columns or commands, the structure verdict,
-    the engine queues, the simulator's per-machine plans, the memo
+    derived from it -- the commands, the structure verdict, the engine
+    queues, the groups, the simulator's per-machine plans, the memo
     fingerprint -- is computed at most once and kept on the program with
     no validity check.  Programs compare by content and are not hashable.
 
@@ -187,7 +229,8 @@ class Program:
 
     def __post_init__(self) -> None:
         _check_num_cores(self.num_cores)
-        object.__setattr__(self, "commands", tuple(self.commands))
+        kept = self.__dict__
+        kept["_columns"] = ProgramColumns.of_commands(tuple(kept.pop("commands")))
 
     @classmethod
     def _of_columns(cls, num_cores: int, columns: ProgramColumns) -> "Program":
@@ -204,13 +247,12 @@ class Program:
         return placed
 
     def __getattr__(self, name: str) -> Any:
-        # Reached only for attributes the instance lacks: a program made
-        # from columns, or placed, builds its commands on first read.
-        kept = self.__dict__
-        if name != "commands" or not ("_columns" in kept or "_placement" in kept):
+        # Reached only for attributes the instance lacks: a program
+        # builds its commands from its columns on first read.
+        if name != "commands":
             raise AttributeError(f"'Program' object has no attribute {name!r}")
         cols = self.columns()
-        commands = kept["commands"] = tuple(
+        commands = self.__dict__["commands"] = tuple(
             map(
                 Command, cols.cid, cols.core, cols.kind, cols.deps,
                 cols.num_bytes, cols.macs, cols.cycles, cols.layer, cols.tag,
@@ -229,13 +271,9 @@ class Program:
         kept = self.__dict__
         columns = kept.get("_columns")
         if columns is None:
-            placement = kept.get("_placement")
-            if placement is None:
-                columns = ProgramColumns.of_commands(kept["commands"])
-            else:
-                source, cores = placement.source.columns(), placement.cores
-                columns = source._replace(core=[cores[c] for c in source.core])
-            kept["_columns"] = columns
+            source, cores = kept["_placement"]
+            cols = source.columns()
+            columns = kept["_columns"] = cols._replace(core=[cores[c] for c in cols.core])
         return columns
 
     def placement(self) -> Optional[Placement]:
@@ -248,11 +286,28 @@ class Program:
 
     def __len__(self) -> int:
         kept = self.__dict__
-        if "_columns" in kept:
-            return len(kept["_columns"].cid)
-        if "commands" in kept:
-            return len(kept["commands"])
-        return len(kept["_placement"].source)
+        columns = kept.get("_columns")
+        return len(columns.cid) if columns is not None else len(kept["_placement"].source)
+
+    def groups(self) -> Dict[Tuple[str, int, CommandKind], List[int]]:
+        """The positions of each (layer, core, kind), in program order.
+
+        Keys are in order of first appearance.  Made once per program
+        and kept, like :meth:`engine_queues`; the race, liveness and
+        halo passes read it, and none writes to it.
+        """
+        groups = self.__dict__.get("_groups")
+        if groups is None:
+            cols = self.columns()
+            groups = {}
+            for pos, key in enumerate(zip(cols.layer, cols.core, cols.kind)):
+                members = groups.get(key)
+                if members is None:
+                    groups[key] = [pos]
+                else:
+                    members.append(pos)
+            self.__dict__["_groups"] = groups
+        return groups
 
     def engine_queues(self) -> EngineQueues:
         """The per-(core, engine) hardware queues, by command position.
@@ -267,14 +322,18 @@ class Program:
         if queues is not None:
             return queues
         cols = self.columns()
-        qid_of_key: Dict[Tuple[int, Engine], int] = {}
+        # Keyed by the engine's index: an enum member hashes in Python.
+        qid_of_key: Dict[Tuple[int, int], int] = {}
+        keys: List[Tuple[int, Engine]] = []
         members: List[List[int]] = []
         qid_of: List[int] = []
         prev: List[int] = []
-        for pos, key in enumerate(zip(cols.core, cols.engine)):
+        for pos, (core, engine) in enumerate(zip(cols.core, cols.engine)):
+            key = (core, engine.index)
             qid = qid_of_key.get(key)
             if qid is None:
                 qid = qid_of_key[key] = len(members)
+                keys.append((core, engine))
                 members.append([pos])
                 prev.append(-1)
             else:
@@ -282,7 +341,7 @@ class Program:
                 prev.append(queue[-1])
                 queue.append(pos)
             qid_of.append(qid)
-        queues = EngineQueues(list(qid_of_key), members, qid_of, prev)
+        queues = EngineQueues(keys, members, qid_of, prev)
         self.__dict__["_engine_queues"] = queues
         return queues
 
@@ -318,19 +377,12 @@ class Program:
 
     def total_bytes(self, kinds: Optional[Iterable[CommandKind]] = None) -> int:
         cols = self.columns()
-        wanted = set(kinds) if kinds is not None else None
+        # A tuple tests membership by identity, hashing nothing.
+        wanted = tuple(kinds) if kinds is not None else None
         return sum(
             num_bytes
             for kind, engine, num_bytes in zip(cols.kind, cols.engine, cols.num_bytes)
             if engine in _DMA_ENGINES and (wanted is None or kind in wanted)
-        )
-
-    def core_bytes(self, core: int) -> int:
-        cols = self.columns()
-        return sum(
-            num_bytes
-            for c, engine, num_bytes in zip(cols.core, cols.engine, cols.num_bytes)
-            if c == core and engine in _DMA_ENGINES
         )
 
     def count(self, kind: CommandKind) -> int:
@@ -369,11 +421,11 @@ class ProgramBuilder:
         self._cycles: List[float] = []
         self._layer: List[str] = []
         self._tag: List[str] = []
-        #: last command id per (core, engine); -1 when none yet.
-        self._tails: Dict[Tuple[int, Engine], int] = {}
+        #: last command id per (core, engine index); -1 when none yet.
+        self._tails: Dict[Tuple[int, int], int] = {}
 
     def tail(self, core: int, engine: Engine) -> Optional[int]:
-        cid = self._tails.get((core, engine), -1)
+        cid = self._tails.get((core, engine.index), -1)
         return None if cid < 0 else cid
 
     def frontier(self) -> List[int]:
@@ -392,7 +444,7 @@ class ProgramBuilder:
         tag: str = "",
     ) -> int:
         cid = len(self._kind)
-        engine = _ENGINE_OF_KIND[kind]
+        engine = kind.engine
         if deps:
             for dep in deps:
                 if type(dep) is not int:
@@ -414,7 +466,7 @@ class ProgramBuilder:
         self._cycles.append(float(cycles))
         self._layer.append(layer)
         self._tag.append(tag)
-        self._tails[(core, engine)] = cid
+        self._tails[core, engine.index] = cid
         return cid
 
     def barrier(self, cycles: float, layer: str = "", tag: str = "") -> List[int]:

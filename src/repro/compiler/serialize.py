@@ -1,9 +1,10 @@
 """Program (de)serialization to JSON.
 
-A compiled :class:`Program` is a plain command list, so it round-trips
-losslessly through JSON.  This decouples compilation from simulation --
-compile once, archive the program, replay it later or on another machine
-description (the simulator only needs core counts to match).
+A compiled :class:`Program` is one column per command field, written as
+a plain command list, so it round-trips losslessly through JSON.  This
+decouples compilation from simulation -- compile once, archive the
+program, replay it later or on another machine description (the
+simulator only needs core counts to match).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import pathlib
 from typing import Dict, List, Union
 
-from repro.compiler.program import Command, CommandKind, Program
+from repro.compiler.program import CommandKind, Program, ProgramColumns
 
 FORMAT_VERSION = 1
 
@@ -28,24 +29,28 @@ def _is_int(value: object) -> bool:
 
 
 def program_to_dict(program: Program) -> Dict:
-    """Plain-dict form of a program."""
+    """Plain-dict form of a program, read from its columns."""
+    cols = program.columns()
     return {
         "format": "repro-program",
         "version": FORMAT_VERSION,
         "num_cores": program.num_cores,
         "commands": [
             {
-                "cid": c.cid,
-                "core": c.core,
-                "kind": c.kind.value,
-                "deps": list(c.deps),
-                "bytes": c.num_bytes,
-                "macs": c.macs,
-                "cycles": c.cycles,
-                "layer": c.layer,
-                "tag": c.tag,
+                "cid": cid,
+                "core": core,
+                "kind": kind.value,
+                "deps": list(deps),
+                "bytes": num_bytes,
+                "macs": macs,
+                "cycles": cycles,
+                "layer": layer,
+                "tag": tag,
             }
-            for c in program.commands
+            for cid, core, kind, deps, num_bytes, macs, cycles, layer, tag in zip(
+                cols.cid, cols.core, cols.kind, cols.deps, cols.num_bytes,
+                cols.macs, cols.cycles, cols.layer, cols.tag,
+            )
         ],
     }
 
@@ -57,7 +62,8 @@ def program_from_dict(data: Dict) -> Program:
     ``bytes``, ``macs``, every ``deps`` entry and ``num_cores`` (at
     least 0) must be ints (bools refused), ``cycles`` a number and
     ``layer`` and ``tag`` (optional) strings, or a ``ValueError`` names
-    the field and the command.
+    the field and the command.  The program is made from the columns
+    read (:meth:`ProgramColumns.of_fields`); no ``Command`` is built.
     """
     if not isinstance(data, dict) or data.get("format") != "repro-program":
         raise ValueError("not a repro program document")
@@ -73,7 +79,8 @@ def program_from_dict(data: Dict) -> Program:
     entries = data.get("commands")
     if not isinstance(entries, list):
         raise ValueError(f"field 'commands' must be a list, got {entries!r}")
-    commands: List[Command] = []
+    fields: List[List] = [[] for _ in range(9)]
+    cids, cores, kinds, deps_of, num_bytes, macs, cycles_of, layers, tags = fields
     for pos, entry in enumerate(entries):
         where = f"command {pos}"
         if not isinstance(entry, dict):
@@ -98,20 +105,16 @@ def program_from_dict(data: Dict) -> Program:
         for key, text in (("layer", layer), ("tag", tag)):
             if not isinstance(text, str):
                 raise ValueError(f"{where}: field {key!r} must be a string, got {text!r}")
-        commands.append(
-            Command(
-                cid=entry["cid"],
-                core=entry["core"],
-                kind=kind,
-                deps=tuple(deps),
-                num_bytes=entry["bytes"],
-                macs=entry["macs"],
-                cycles=float(cycles),
-                layer=layer,
-                tag=tag,
-            )
-        )
-    program = Program(num_cores=num_cores, commands=tuple(commands))
+        cids.append(entry["cid"])
+        cores.append(entry["core"])
+        kinds.append(kind)
+        deps_of.append(tuple(deps))
+        num_bytes.append(entry["bytes"])
+        macs.append(entry["macs"])
+        cycles_of.append(float(cycles))
+        layers.append(layer)
+        tags.append(tag)
+    program = Program._of_columns(num_cores, ProgramColumns.of_fields(*fields))
     program.validate()
     return program
 

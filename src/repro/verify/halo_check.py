@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.compiler.program import Command, CommandKind
+from repro.compiler.program import CommandKind
 from repro.ir.tensor import Region
 from repro.partition.slicer import halo_regions
 from repro.verify.diagnostics import PassResult
@@ -54,15 +54,23 @@ def _check_pairing(result: PassResult, compiled: "CompiledModel") -> None:
     program = compiled.program
     graph = compiled.graph
     npu = compiled.npu
-    by_cid: Dict[int, Command] = {c.cid: c for c in program.commands}
+    cols = program.columns()
+    kinds, cores, layers, deps = cols.kind, cols.core, cols.layer, cols.deps
+    n = len(kinds)
 
-    recvs: Dict[Tuple[str, int], List[Command]] = {}
-    sends: Dict[Tuple[str, int], List[Command]] = {}
-    for cmd in program.commands:
-        if cmd.kind is CommandKind.HALO_RECV:
-            recvs.setdefault((cmd.layer, cmd.core), []).append(cmd)
-        elif cmd.kind is CommandKind.HALO_SEND:
-            sends.setdefault((cmd.layer, cmd.core), []).append(cmd)
+    # Halo commands by (layer, core), in order of first appearance.
+    recvs: Dict[Tuple[str, int], List[int]] = {}
+    sends: Dict[Tuple[str, int], List[int]] = {}
+    for (layer, core, kind), members in program.groups().items():
+        if kind is CommandKind.HALO_RECV:
+            recvs[layer, core] = members
+        elif kind is CommandKind.HALO_SEND:
+            sends[layer, core] = members
+
+    def is_send(d: int) -> bool:
+        # The pass also runs on programs the structure pass rejects:
+        # a dependency that names no command pairs with nothing.
+        return 0 <= d < n and kinds[d] is CommandKind.HALO_SEND
 
     # Expected transfer volumes from the region algebra, independently
     # re-derived with the slicer (identical math to the planner's piece
@@ -103,7 +111,7 @@ def _check_pairing(result: PassResult, compiled: "CompiledModel") -> None:
     for key in sorted(keys):
         name, c = key
         want = expected_recv.get(key, 0)
-        got = sum(cmd.num_bytes for cmd in recvs.get(key, []))
+        got = sum(cols.num_bytes[r] for r in recvs.get(key, []))
         if want != got:
             result.emit(
                 "RPR503",
@@ -120,7 +128,7 @@ def _check_pairing(result: PassResult, compiled: "CompiledModel") -> None:
     for key in sorted(keys):
         name, j = key
         want = expected_send.get(key, 0)
-        got = sum(cmd.num_bytes for cmd in sends.get(key, []))
+        got = sum(cols.num_bytes[s] for s in sends.get(key, []))
         if want != got:
             result.emit(
                 "RPR504",
@@ -146,12 +154,9 @@ def _check_pairing(result: PassResult, compiled: "CompiledModel") -> None:
             core_recvs = recvs.get((name, c), [])
             for j in remote_cores:
                 paired = any(
-                    by_cid[d].kind is CommandKind.HALO_SEND
-                    and by_cid[d].core == j
-                    and by_cid[d].layer == producer_name
+                    is_send(d) and cores[d] == j and layers[d] == producer_name
                     for r in core_recvs
-                    for d in r.deps
-                    if d in by_cid
+                    for d in deps[r]
                 )
                 if not paired:
                     result.emit(
@@ -166,22 +171,18 @@ def _check_pairing(result: PassResult, compiled: "CompiledModel") -> None:
                     )
 
     # Dead sends: every send must be awaited by at least one receive.
-    awaited = set()
-    for core_recvs in recvs.values():
-        for r in core_recvs:
-            for d in r.deps:
-                cmd = by_cid.get(d)
-                if cmd is not None and cmd.kind is CommandKind.HALO_SEND:
-                    awaited.add(d)
-    for core_sends in sends.values():
+    awaited = {
+        d for core_recvs in recvs.values() for r in core_recvs for d in deps[r] if is_send(d)
+    }
+    for (layer, core), core_sends in sends.items():
         for s in core_sends:
-            if s.cid not in awaited:
+            if s not in awaited:
                 result.emit(
                     "RPR502",
-                    f"halo send #{s.cid} is not awaited by any receive",
-                    layer=s.layer,
-                    core=s.core,
-                    cid=s.cid,
+                    f"halo send #{s} is not awaited by any receive",
+                    layer=layer,
+                    core=core,
+                    cid=s,
                     hint="a dropped peer: the consumer will read whatever "
                     "was in its halo buffer",
                 )

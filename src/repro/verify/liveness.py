@@ -23,68 +23,62 @@ Codes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING
 
-from repro.compiler.program import Command, CommandKind
+from repro.compiler.program import CommandKind
 from repro.verify.diagnostics import PassResult
 from repro.verify.hb import HappensBefore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compiler import CompiledModel
 
-
-def _tile_groups(program) -> Dict[Tuple[str, int], Dict[CommandKind, List[Command]]]:
-    groups: Dict[Tuple[str, int], Dict[CommandKind, List[Command]]] = {}
-    for cmd in program.commands:
-        if cmd.kind in (
-            CommandKind.LOAD_INPUT,
-            CommandKind.COMPUTE,
-            CommandKind.STORE_OUTPUT,
-        ):
-            groups.setdefault((cmd.layer, cmd.core), {}).setdefault(
-                cmd.kind, []
-            ).append(cmd)
-    return groups
+_TILE_KINDS = (CommandKind.LOAD_INPUT, CommandKind.COMPUTE, CommandKind.STORE_OUTPUT)
 
 
 def check_liveness(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
     """Check double-buffer phase edges for every tiled sub-layer."""
     result = PassResult(name="liveness")
-    groups = _tile_groups(compiled.program)
+    program = compiled.program
+    groups = program.groups()
+    tags = program.columns().tag
     checked = 0
 
-    for (layer, core), kinds in groups.items():
-        computes = kinds.get(CommandKind.COMPUTE, [])
+    # Sub-layers in order of their first load, compute or store.
+    sublayers = dict.fromkeys(
+        (layer, core) for layer, core, kind in groups if kind in _TILE_KINDS
+    )
+    for layer, core in sublayers:
+        computes = groups.get((layer, core, CommandKind.COMPUTE), [])
         if len(computes) < 3:
             continue  # at most two tiles in flight: double buffering trivially holds
         # Program order of the compute queue *is* the tile order (the
         # lowering emits one compute per tile, halo-first reordering
         # included); tags pair the surrounding loads/stores to tiles.
-        position = {cmd.tag: k for k, cmd in enumerate(computes)}
+        position = {tags[cmd]: k for k, cmd in enumerate(computes)}
 
-        loads = kinds.get(CommandKind.LOAD_INPUT, [])
-        tile_loads = [ld for ld in loads if ld.tag in position]
+        loads = groups.get((layer, core, CommandKind.LOAD_INPUT), [])
+        tile_loads = [ld for ld in loads if tags[ld] in position]
         for ld in tile_loads:
-            k = position[ld.tag]
+            k = position[tags[ld]]
             if k < 2:
                 continue
             checked += 1
             freeing = computes[k - 2]
-            if not hb.ordered(freeing.cid, ld.cid):
+            if not hb.ordered(freeing, ld):
                 result.emit(
                     "RPR301",
-                    f"tile load #{ld.cid} ({ld.tag}) is not ordered after "
-                    f"compute #{freeing.cid} ({freeing.tag}); three input "
+                    f"tile load #{ld} ({tags[ld]}) is not ordered after "
+                    f"compute #{freeing} ({tags[freeing]}); three input "
                     f"buffers of the stream can be live at once",
                     layer=layer,
                     core=core,
-                    cid=ld.cid,
+                    cid=ld,
                     hint="the lowering must add the double-buffer dependency "
                     "load[k] -> compute[k-2]",
                 )
 
-        stores = kinds.get(CommandKind.STORE_OUTPUT, [])
-        tile_stores = {cmd.tag: cmd for cmd in stores if cmd.tag in position}
+        stores = groups.get((layer, core, CommandKind.STORE_OUTPUT), [])
+        tile_stores = {tags[cmd]: cmd for cmd in stores if tags[cmd] in position}
         streamed = layer not in compiled.forwarding.resident_outputs
         if streamed and len(tile_stores) >= len(computes):
             # Per-tile streamed stores: the output side double-buffers too.
@@ -98,15 +92,15 @@ def check_liveness(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
                     continue
                 checked += 1
                 freeing = by_pos[k - 2][1]
-                if not hb.ordered(freeing.cid, compute.cid):
+                if not hb.ordered(freeing, compute):
                     result.emit(
                         "RPR302",
-                        f"tile compute #{compute.cid} ({compute.tag}) is not "
-                        f"ordered after store #{freeing.cid} ({freeing.tag}); "
+                        f"tile compute #{compute} ({tags[compute]}) is not "
+                        f"ordered after store #{freeing} ({tags[freeing]}); "
                         f"three output buffers of the stream can be live at once",
                         layer=layer,
                         core=core,
-                        cid=compute.cid,
+                        cid=compute,
                         hint="the lowering must add the double-buffer dependency "
                         "compute[k] -> store[k-2]",
                     )

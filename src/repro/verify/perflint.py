@@ -24,16 +24,17 @@ seeded bad schedule.
 
 The RPR803 proof is conservative and sound: a barrier group is only
 reported when (pre-filter) every dependency of every member is itself a
-barrier command, and (proof) rebuilding the happens-before relation on
-a copy of the program with the group's dependency edges stripped shows
-every ordering the group provided -- each (dependency, consumer) pair --
-still holds through other edges.  No false positives; exotic redundancy
-that fails the pre-filter is simply not reported.
+barrier command, and (proof) rebuilding the happens-before relation
+over a copy of the program's deps column with the group's edges
+stripped shows every ordering the group provided -- each (dependency,
+consumer) pair -- still holds through other edges.  No false positives;
+exotic redundancy that fails the pre-filter is simply not reported.
+
+Every rule reads the program's columns, a command by its position.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.analysis.critical_path import longest_path_times
@@ -72,10 +73,11 @@ _HALO_KINDS = (CommandKind.HALO_SEND, CommandKind.HALO_RECV)
 def _check_imbalance(compiled: "CompiledModel", result: PassResult) -> None:
     """RPR801: per-core compute work spread."""
     base_delay = _plan_for(compiled.program, compiled.npu).base_delay
+    cols = compiled.program.columns()
     per_core: Dict[int, float] = {}
-    for cmd in compiled.program.commands:
-        if cmd.kind is CommandKind.COMPUTE and cmd.macs > 0:
-            per_core[cmd.core] = per_core.get(cmd.core, 0.0) + base_delay[cmd.cid]
+    for core, kind, macs, delay in zip(cols.core, cols.kind, cols.macs, base_delay):
+        if kind is CommandKind.COMPUTE and macs > 0:
+            per_core[core] = per_core.get(core, 0.0) + delay
     if len(per_core) < 2:
         result.stats["compute_imbalance_pct"] = 0
         return
@@ -100,7 +102,7 @@ def _check_imbalance(compiled: "CompiledModel", result: PassResult) -> None:
 
 def _check_halo_chains(compiled: "CompiledModel", result: PassResult) -> None:
     """RPR802: consecutive halo commands on the static critical path."""
-    commands = compiled.program.commands
+    cols = compiled.program.columns()
     report = bounds_for(compiled.program, compiled.npu)
     longest = 0
     run: List[int] = []
@@ -108,7 +110,7 @@ def _check_halo_chains(compiled: "CompiledModel", result: PassResult) -> None:
     # path_cids is last-command-first; chain order does not matter for
     # run detection.
     for cid in report.path_cids:
-        if commands[cid].kind in _HALO_KINDS:
+        if cols.kind[cid] in _HALO_KINDS:
             run.append(cid)
         else:
             if len(run) >= HALO_CHAIN_MIN:
@@ -120,25 +122,27 @@ def _check_halo_chains(compiled: "CompiledModel", result: PassResult) -> None:
     longest = max(longest, len(run))
     result.stats["halo_chain_longest"] = longest
     for chain in flagged:
-        head = commands[chain[-1]]  # earliest command of the run
+        head = chain[-1]  # earliest command of the run
+        layer = cols.layer[head]
         result.emit(
             "RPR802",
             f"{len(chain)} consecutive halo exchanges on the critical path "
-            f"starting at {head.layer or '#' + str(head.cid)}",
+            f"starting at {layer or '#' + str(head)}",
             severity=Severity.WARNING,
-            layer=head.layer,
-            core=head.core,
-            cid=head.cid,
+            layer=layer,
+            core=cols.core[head],
+            cid=head,
             hint="serialized halo traffic: inflate tiles (redundant "
             "compute) or re-partition so exchanges overlap compute",
         )
 
 
 def _barrier_groups(program: Program) -> Dict[Tuple[str, str], List[int]]:
+    cols = program.columns()
     groups: Dict[Tuple[str, str], List[int]] = {}
-    for cmd in program.commands:
-        if cmd.kind is CommandKind.BARRIER:
-            groups.setdefault((cmd.layer, cmd.tag), []).append(cmd.cid)
+    for cid, (kind, layer, tag) in enumerate(zip(cols.kind, cols.layer, cols.tag)):
+        if kind is CommandKind.BARRIER:
+            groups.setdefault((layer, tag), []).append(cid)
     return groups
 
 
@@ -147,11 +151,9 @@ def _check_redundant_barriers(
 ) -> None:
     """RPR803: barrier groups whose removal is provably safe."""
     program = compiled.program
-    commands = program.commands
-    consumers: Dict[int, List[int]] = {}
-    for cmd in commands:
-        for d in cmd.deps:
-            consumers.setdefault(d, []).append(cmd.cid)
+    cols = program.columns()
+    deps_of, kinds = cols.deps, cols.kind
+    consumers = _plan_for(program, compiled.npu).consumers
 
     redundant = 0
     for (layer, tag), members in sorted(_barrier_groups(program).items()):
@@ -161,38 +163,32 @@ def _check_redundant_barriers(
         deps = [
             d
             for b in members
-            for d in commands[b].deps
+            for d in deps_of[b]
             if d not in member_set
         ]
         if not deps or any(
-            commands[d].kind is not CommandKind.BARRIER for d in deps
+            kinds[d] is not CommandKind.BARRIER for d in deps
         ):
             continue
         provided = [
             (d, x)
             for b in members
-            for d in commands[b].deps
+            for d in deps_of[b]
             if d not in member_set
-            for x in consumers.get(b, ())
+            for x in consumers[b]
             if x not in member_set
         ]
         # Proof: strip the group's edges and re-derive happens-before.
-        stripped = Program(
-            num_cores=program.num_cores,
-            commands=tuple(
-                dataclasses.replace(
-                    cmd,
-                    deps=()
-                    if cmd.cid in member_set
-                    else tuple(d for d in cmd.deps if d not in member_set),
-                )
-                for cmd in commands
-            ),
-        )
-        hb2 = HappensBefore(stripped)
+        stripped = list(deps_of)
+        for b in members:
+            for x in consumers[b]:
+                stripped[x] = tuple(d for d in deps_of[x] if d not in member_set)
+        for b in members:
+            stripped[b] = ()
+        hb2 = HappensBefore(program, deps=stripped)
         if all(hb2.ordered(d, x) for d, x in provided):
             redundant += 1
-            head = commands[members[0]]
+            head = members[0]
             result.emit(
                 "RPR803",
                 f"barrier group ({layer!r}, {tag!r}) over {len(members)} "
@@ -200,8 +196,8 @@ def _check_redundant_barriers(
                 "holds without it",
                 severity=Severity.WARNING,
                 layer=layer,
-                core=head.core,
-                cid=head.cid,
+                core=cols.core[head],
+                cid=head,
                 hint="remove the barrier; the happens-before relation of "
                 "the remaining edges is unchanged",
             )
@@ -213,36 +209,36 @@ def _check_double_buffer(
 ) -> None:
     """RPR804: load[k] ordered after compute[k-1] within one layer."""
     program = compiled.program
-    commands = program.commands
+    cols = program.columns()
+    layers, kinds = cols.layer, cols.kind
     stalls = 0
     flagged: set = set()
     queues = program.engine_queues()
-    for (core, engine), members in zip(queues.keys, queues.members):
+    for (core, engine), queue in zip(queues.keys, queues.members):
         if engine is not Engine.COMPUTE:
             continue
-        queue = [commands[pos] for pos in members]
         for prev, cur in zip(queue, queue[1:]):
-            if cur.layer != prev.layer:
+            if layers[cur] != layers[prev]:
                 continue  # double buffering applies within a layer's tiles
-            for d in cur.deps:
-                dep = commands[d]
+            for d in cols.deps[cur]:
+                kind = kinds[d]
                 if (
-                    dep.kind in _LOAD_KINDS
-                    and dep.num_bytes > 0
-                    and dep.core == core
-                    and hb.ordered(prev.cid, d)
+                    kind in _LOAD_KINDS
+                    and cols.num_bytes[d] > 0
+                    and cols.core[d] == core
+                    and hb.ordered(prev, d)
                 ):
                     stalls += 1
-                    if (core, cur.layer) not in flagged:
-                        flagged.add((core, cur.layer))
+                    if (core, layers[cur]) not in flagged:
+                        flagged.add((core, layers[cur]))
                         result.emit(
                             "RPR804",
-                            f"double-buffer stall: {dep.kind.value} #{d} for "
-                            f"compute #{cur.cid} cannot start until compute "
-                            f"#{prev.cid} finishes -- load and compute of "
+                            f"double-buffer stall: {kind.value} #{d} for "
+                            f"compute #{cur} cannot start until compute "
+                            f"#{prev} finishes -- load and compute of "
                             "consecutive tiles are serialized",
                             severity=Severity.WARNING,
-                            layer=cur.layer,
+                            layer=layers[cur],
                             core=core,
                             cid=d,
                             hint="prefetch tile k during compute of tile k-1 "

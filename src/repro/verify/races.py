@@ -29,19 +29,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.compiler.allocator import InputMode
-from repro.compiler.program import Command, CommandKind
+from repro.compiler.program import CommandKind
 from repro.verify.diagnostics import PassResult
 from repro.verify.hb import HappensBefore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.compiler import CompiledModel
 
-
-def _group_commands(program) -> Dict[Tuple[str, int, CommandKind], List[Command]]:
-    groups: Dict[Tuple[str, int, CommandKind], List[Command]] = {}
-    for cmd in program.commands:
-        groups.setdefault((cmd.layer, cmd.core, cmd.kind), []).append(cmd)
-    return groups
+#: command positions of each (layer, core, kind) (:meth:`Program.groups`)
+_Groups = Dict[Tuple[str, int, CommandKind], List[int]]
 
 
 def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
@@ -53,7 +49,7 @@ def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
     forwarding = compiled.forwarding
     regions = compiled.exec_regions
 
-    groups = _group_commands(program)
+    groups = program.groups()
     edges = 0
     pairs = 0
 
@@ -109,15 +105,15 @@ def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
                             )
                         for ld in loads:
                             pairs += 1
-                            if not hb.ordered(last_store.cid, ld.cid):
+                            if not hb.ordered(last_store, ld):
                                 result.emit(
                                     "RPR102",
-                                    f"load #{ld.cid} reads {producer_name} from "
+                                    f"load #{ld} reads {producer_name} from "
                                     f"global memory but is not ordered after "
-                                    f"the same core's store #{last_store.cid}",
+                                    f"the same core's store #{last_store}",
                                     layer=name,
                                     core=c,
-                                    cid=ld.cid,
+                                    cid=ld,
                                     hint="the lowering must add the last-store "
                                     "dependency (or a barrier) to every load",
                                 )
@@ -129,14 +125,14 @@ def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
                     )
                     if prod_computes and computes:
                         pairs += 1
-                        if not hb.ordered(prod_computes[-1].cid, computes[0].cid):
+                        if not hb.ordered(prod_computes[-1], computes[0]):
                             result.emit(
                                 "RPR107",
                                 f"forwarded input {i} ({producer_name}): producer "
                                 f"computes are not ordered before consumer computes",
                                 layer=name,
                                 core=c,
-                                cid=computes[0].cid,
+                                cid=computes[0],
                                 hint="same-core compute order must follow the "
                                 "schedule when feature maps stay in the SPM",
                             )
@@ -183,14 +179,14 @@ def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
             continue
         computes = groups.get((lname, core, CommandKind.COMPUTE), [])
         for recv in cmds:
-            if not any(hb.ordered(recv.cid, k.cid) for k in computes):
+            if not any(hb.ordered(recv, k) for k in computes):
                 result.emit(
                     "RPR105",
-                    f"halo receive #{recv.cid} is never consumed by any "
+                    f"halo receive #{recv} is never consumed by any "
                     f"compute of its sub-layer",
                     layer=lname,
                     core=core,
-                    cid=recv.cid,
+                    cid=recv,
                     hint="received data that no compute waits for is either "
                     "dead traffic or an ordering bug",
                 )
@@ -203,13 +199,13 @@ def check_races(compiled: "CompiledModel", hb: HappensBefore) -> PassResult:
 def _check_global_edge(
     result: PassResult,
     hb: HappensBefore,
-    groups: Dict[Tuple[str, int, CommandKind], List[Command]],
+    groups: _Groups,
     name: str,
     producer_name: str,
     input_index: int,
     c: int,
     j: int,
-    loads: List[Command],
+    loads: List[int],
     forwarding,
 ) -> None:
     """Store-sync-load path: loads on ``c`` after stores on ``j``."""
@@ -244,15 +240,15 @@ def _check_global_edge(
         return
     last_store = remote_stores[-1]
     for ld in loads:
-        if not hb.ordered(last_store.cid, ld.cid):
+        if not hb.ordered(last_store, ld):
             result.emit(
                 "RPR101",
-                f"load #{ld.cid} reads {producer_name} data stored by core "
-                f"{j} (store #{last_store.cid}) without a happens-before "
+                f"load #{ld} reads {producer_name} data stored by core "
+                f"{j} (store #{last_store}) without a happens-before "
                 f"ordering -- a cross-core data race",
                 layer=name,
                 core=c,
-                cid=ld.cid,
+                cid=ld,
                 hint="a barrier (or halo exchange) must order the consumer "
                 "after the remote store",
             )
@@ -261,13 +257,13 @@ def _check_global_edge(
 def _check_halo_edge(
     result: PassResult,
     hb: HappensBefore,
-    groups: Dict[Tuple[str, int, CommandKind], List[Command]],
+    groups: _Groups,
     name: str,
     producer_name: str,
     c: int,
     j: int,
-    recvs: List[Command],
-    computes: List[Command],
+    recvs: List[int],
+    computes: List[int],
 ) -> None:
     """Halo rendezvous: recv on ``c`` after send on ``j`` after compute."""
     if not recvs:
@@ -286,7 +282,7 @@ def _check_halo_edge(
         (s, r)
         for r in recvs
         for s in sends
-        if hb.ordered(s.cid, r.cid)
+        if hb.ordered(s, r)
     ]
     if not matched:
         result.emit(
@@ -295,7 +291,7 @@ def _check_halo_edge(
             f"send of {producer_name} on core {j}",
             layer=name,
             core=c,
-            cid=recvs[0].cid,
+            cid=recvs[0],
             hint="the receive must list the peer send as a dependency "
             "(the rendezvous is the synchronization)",
         )
@@ -303,15 +299,15 @@ def _check_halo_edge(
     prod_computes = groups.get((producer_name, j, CommandKind.COMPUTE), [])
     for s, _ in matched:
         if prod_computes and not any(
-            hb.ordered(k.cid, s.cid) for k in prod_computes
+            hb.ordered(k, s) for k in prod_computes
         ):
             result.emit(
                 "RPR106",
-                f"halo send #{s.cid} of {producer_name} on core {j} is not "
+                f"halo send #{s} of {producer_name} on core {j} is not "
                 f"ordered after any compute that produces the sent data",
                 layer=producer_name,
                 core=j,
-                cid=s.cid,
+                cid=s,
                 hint="the send must depend on the computes covering the "
                 "halo region",
             )

@@ -95,8 +95,7 @@ def audit_spm(
     recv: Dict[Tuple[str, int], int] = {}
     bands_of: Dict[Tuple[str, int], set] = {}
 
-    def band_of(cmd) -> int:
-        tag = cmd.tag
+    def band_of(tag: str) -> int:
         if tag.startswith("w") and tag[1:].isdigit():
             return int(tag[1:])
         if tag.startswith("b"):
@@ -110,25 +109,28 @@ def audit_spm(
                 return int(digits)
         return 0
 
-    for cmd in program.commands:
-        key2 = (cmd.layer, cmd.core)
-        key = (cmd.layer, cmd.core, band_of(cmd))
-        if cmd.kind in (
+    cols = program.columns()
+    for layer, core, kind, num_bytes, tag in zip(
+        cols.layer, cols.core, cols.kind, cols.num_bytes, cols.tag
+    ):
+        key2 = (layer, core)
+        key = (layer, core, band_of(tag))
+        if kind in (
             CommandKind.LOAD_WEIGHT,
             CommandKind.LOAD_INPUT,
             CommandKind.STORE_OUTPUT,
         ):
             bands_of.setdefault(key2, set()).add(key[2])
-        if cmd.kind is CommandKind.LOAD_WEIGHT:
-            weights[key] = max(weights.get(key, 0), cmd.num_bytes)
-        elif cmd.kind is CommandKind.LOAD_INPUT:
-            max_load[key] = max(max_load.get(key, 0), cmd.num_bytes)
+        if kind is CommandKind.LOAD_WEIGHT:
+            weights[key] = max(weights.get(key, 0), num_bytes)
+        elif kind is CommandKind.LOAD_INPUT:
+            max_load[key] = max(max_load.get(key, 0), num_bytes)
             n_load[key] = n_load.get(key, 0) + 1
-        elif cmd.kind is CommandKind.STORE_OUTPUT:
-            max_store[key] = max(max_store.get(key, 0), cmd.num_bytes)
+        elif kind is CommandKind.STORE_OUTPUT:
+            max_store[key] = max(max_store.get(key, 0), num_bytes)
             n_store[key] = n_store.get(key, 0) + 1
-        elif cmd.kind is CommandKind.HALO_RECV:
-            recv[key2] = recv.get(key2, 0) + cmd.num_bytes
+        elif kind is CommandKind.HALO_RECV:
+            recv[key2] = recv.get(key2, 0) + num_bytes
 
     usages: List[SpmUsage] = []
     violations: List[SpmViolation] = []

@@ -48,60 +48,60 @@ def check_strata(compiled: "CompiledModel") -> PassResult:
     if not members:
         return result
 
-    for cmd in compiled.program.commands:
-        name = cmd.layer
+    cols = compiled.program.columns()
+    for cid, (name, core, kind) in enumerate(zip(cols.layer, cols.core, cols.kind)):
         if name not in members:
             continue
-        if cmd.kind is CommandKind.BARRIER and name not in tops:
+        if kind is CommandKind.BARRIER and name not in tops:
             result.emit(
                 "RPR401",
-                f"barrier #{cmd.cid} synchronizes inside a stratum "
+                f"barrier #{cid} synchronizes inside a stratum "
                 f"(attributed to member {name!r}, which is not the top)",
                 layer=name,
-                core=cmd.core,
-                cid=cmd.cid,
+                core=core,
+                cid=cid,
                 hint="strata eliminate synchronization by construction; a "
                 "barrier here voids the h8 gain accounting",
             )
-        elif cmd.kind is CommandKind.STORE_OUTPUT and name not in bottoms:
+        elif kind is CommandKind.STORE_OUTPUT and name not in bottoms:
             result.emit(
                 "RPR402",
-                f"store #{cmd.cid} writes interior stratum tensor {name!r} "
+                f"store #{cid} writes interior stratum tensor {name!r} "
                 f"to global memory",
                 layer=name,
-                core=cmd.core,
-                cid=cmd.cid,
+                core=core,
+                cid=cid,
                 hint="interior results live in SPM ring buffers; only the "
                 "bottom layer stores",
             )
-        elif cmd.kind is CommandKind.LOAD_INPUT and name not in tops:
+        elif kind is CommandKind.LOAD_INPUT and name not in tops:
             result.emit(
                 "RPR403",
-                f"load #{cmd.cid} streams interior stratum input {name!r} "
+                f"load #{cid} streams interior stratum input {name!r} "
                 f"from global memory",
                 layer=name,
-                core=cmd.core,
-                cid=cmd.cid,
+                core=core,
+                cid=cid,
                 hint="interior inputs are forwarded in SPM; only the top "
                 "layer streams from DRAM",
             )
-        elif cmd.kind is CommandKind.HALO_RECV and name not in tops:
+        elif kind is CommandKind.HALO_RECV and name not in tops:
             result.emit(
                 "RPR404",
-                f"halo receive #{cmd.cid} inside a stratum at {name!r}",
+                f"halo receive #{cid} inside a stratum at {name!r}",
                 layer=name,
-                core=cmd.core,
-                cid=cmd.cid,
+                core=core,
+                cid=cid,
                 hint="inflation makes interior halos local; an exchange "
                 "here means the inflated regions do not cover",
             )
-        elif cmd.kind is CommandKind.HALO_SEND and name not in bottoms:
+        elif kind is CommandKind.HALO_SEND and name not in bottoms:
             result.emit(
                 "RPR404",
-                f"halo send #{cmd.cid} inside a stratum at {name!r}",
+                f"halo send #{cid} inside a stratum at {name!r}",
                 layer=name,
-                core=cmd.core,
-                cid=cmd.cid,
+                core=core,
+                cid=cid,
                 hint="interior members have their sole consumer in the "
                 "stratum; nothing should be exchanged",
             )

@@ -9,7 +9,10 @@ latency numbers downstream are fiction.  Checked invariants:
 * ``RPR602`` -- two events of one engine queue overlap, or run out of
   program order
 * ``RPR603`` -- the trace is not a bijection with the program (missing
-  or duplicated commands)
+  or duplicated commands, or an event that names no command)
+
+Commands are read by position, a command's id for any program the
+simulator runs.
 """
 
 from __future__ import annotations
@@ -44,34 +47,34 @@ def check_trace(program: Program, trace: Trace) -> PassResult:
             )
         by_cid[cid] = pos
 
-    for cmd in program.commands:
-        if cmd.cid not in by_cid:
+    cols = program.columns()
+    n = len(program)
+    for cid in range(n):
+        if cid not in by_cid:
             result.emit(
                 "RPR603",
-                f"command #{cmd.cid} never executed",
-                layer=cmd.layer,
-                core=cmd.core,
-                cid=cmd.cid,
+                f"command #{cid} never executed",
+                layer=cols.layer[cid],
+                core=cols.core[cid],
+                cid=cid,
                 hint="the scheduler dropped a command; the makespan is "
                 "meaningless",
             )
-    if len(by_cid) > len(program.commands):
-        extras = set(by_cid) - {c.cid for c in program.commands}
-        for cid in sorted(extras):
-            result.emit(
-                "RPR603",
-                f"trace event #{cid} does not correspond to any command",
-                cid=cid,
-            )
+    for cid in sorted(c for c in by_cid if not 0 <= c < n):
+        result.emit(
+            "RPR603",
+            f"trace event #{cid} does not correspond to any command",
+            cid=cid,
+        )
 
     # Dependencies: an event may start only after its deps completed.
     dep_checks = 0
-    for cmd in program.commands:
-        pos = by_cid.get(cmd.cid)
+    for cid, deps in enumerate(cols.deps):
+        pos = by_cid.get(cid)
         if pos is None:
             continue
         start = start_col[pos]
-        for dep in cmd.deps:
+        for dep in deps:
             dep_pos = by_cid.get(dep)
             if dep_pos is None:
                 continue
@@ -80,11 +83,11 @@ def check_trace(program: Program, trace: Trace) -> PassResult:
             if start < dep_end - _EPS:
                 result.emit(
                     "RPR601",
-                    f"command #{cmd.cid} started at {start:.1f} before "
+                    f"command #{cid} started at {start:.1f} before "
                     f"dependency #{dep} finished at {dep_end:.1f}",
-                    layer=cmd.layer,
-                    core=cmd.core,
-                    cid=cmd.cid,
+                    layer=cols.layer[cid],
+                    core=cols.core[cid],
+                    cid=cid,
                     hint="the scheduler dispatched a command whose "
                     "dependency count had not reached zero",
                 )
@@ -92,8 +95,7 @@ def check_trace(program: Program, trace: Trace) -> PassResult:
     # Engine queues: serialized, in program order.
     queues = program.engine_queues()
     for key, members in zip(queues.keys, queues.members):
-        cids = [program.commands[m].cid for m in members]
-        positions = [by_cid[cid] for cid in cids if cid in by_cid]
+        positions = [by_cid[cid] for cid in members if cid in by_cid]
         for prev, nxt in zip(positions, positions[1:]):
             if start_col[nxt] < end_col[prev] - _EPS:
                 result.emit(

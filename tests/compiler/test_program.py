@@ -275,11 +275,6 @@ class TestAggregates:
         assert p.total_bytes() == 170
         assert p.total_bytes([CommandKind.LOAD_INPUT]) == 100
 
-    def test_core_bytes(self):
-        p = self.build_program()
-        assert p.core_bytes(0) == 140
-        assert p.core_bytes(1) == 30
-
     def test_count(self):
         assert self.build_program().count(CommandKind.COMPUTE) == 1
 

@@ -9,7 +9,8 @@ hashed as), plan and trace.  A sweep reads its counts from the
 program's columns and its latency from the simulation result: its
 records equal records taken from the derived trace with
 ``collect_stats``, and a Figure 11 point builds no ``Command`` and
-derives no trace.
+derives no trace.  ``Program.groups()``, the verifier's grouping of
+positions by (layer, core, kind), equals the grouping of the commands.
 """
 
 from __future__ import annotations
@@ -77,6 +78,17 @@ def test_columns_and_commands_make_the_same_program(cache, model, label):
     got = simulate(program, machine, seed=5, memo=None)
     want = simulate(rebuilt, machine, seed=5, memo=None)
     assert got.makespan_cycles == want.makespan_cycles and got.trace == want.trace
+
+
+@pytest.mark.parametrize("model,label", CASES, ids=[f"{m}-{c}" for m, c in CASES])
+def test_groups_are_the_commands_grouped(cache, model, label):
+    program = compiled_for(cache, model, label).program
+    groups = program.groups()
+    want = {}
+    for cmd in program.commands:
+        want.setdefault((cmd.layer, cmd.core, cmd.kind), []).append(cmd.cid)
+    assert list(groups.items()) == list(want.items())
+    assert program.groups() is groups
 
 
 def trace_record(record, compiled, machine):

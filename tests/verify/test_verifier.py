@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from repro.compiler import CompileOptions, compile_model
-from repro.hw import exynos2100_like
+from repro.compiler.program import CommandKind, ProgramBuilder
+from repro.hw import exynos2100_like, tiny_test_machine
 from repro.models import inception_v3_stem
 from repro.sim import simulate
 from repro.verify import (
@@ -86,6 +87,23 @@ class TestTraceCrossCheck:
         truncated = trace_of(rows(result.trace)[:-1])
         check = check_trace(stratum_chain.program, truncated)
         assert any(d.code == "RPR603" for d in check.diagnostics)
+
+    def test_event_naming_no_command_detected(self):
+        # Three events for three commands, one of them naming #7: the
+        # counts agree, so only the ids show the stray event.
+        builder = ProgramBuilder(1)
+        load = builder.add(0, CommandKind.LOAD_INPUT, num_bytes=64)
+        compute = builder.add(0, CommandKind.COMPUTE, deps=[load], macs=64)
+        store = builder.add(0, CommandKind.STORE_OUTPUT, deps=[compute], num_bytes=64)
+        program = builder.build()
+        events = rows(simulate(program, tiny_test_machine(1)).trace)
+        events = [e._replace(cid=7) if e.cid == store else e for e in events]
+        check = check_trace(program, trace_of(events))
+        assert [(d.code, d.cid) for d in check.diagnostics] == [
+            ("RPR603", store),
+            ("RPR603", 7),
+        ]
+        assert "does not correspond to any command" in check.diagnostics[1].message
 
     def test_duplicate_event_detected(self, stratum_chain):
         result = simulate(stratum_chain.program, stratum_chain.npu)
