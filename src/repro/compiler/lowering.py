@@ -65,8 +65,6 @@ class _LoweringState:
     last_store: Dict[Tuple[str, int], int] = dataclasses.field(default_factory=dict)
     #: (consumer, input_index, producer_core) -> HALO_SEND command id.
     halo_sends: Dict[Tuple[str, int, int], int] = dataclasses.field(default_factory=dict)
-    #: (layer, core) -> ids of the sub-layer's compute commands.
-    computes: Dict[Tuple[str, int], List[int]] = dataclasses.field(default_factory=dict)
 
 
 def lower(
@@ -375,7 +373,6 @@ def _emit_sub_layer(
                 layer=name,
                 tag="in",
             )
-    load_cids: List[Optional[int]] = []
     compute_cids: List[int] = []
     store_cids: List[Optional[int]] = []
     sent = False
@@ -422,7 +419,6 @@ def _emit_sub_layer(
                     layer=name,
                     tag=tile_tag,
                 )
-        load_cids.append(load_cid)
 
         # Compute.
         deps = []
@@ -487,5 +483,3 @@ def _emit_sub_layer(
                             (duty.consumer, duty.input_index, core)
                         ] = send_cid
                 sent = True
-
-    state.computes[(name, core)] = compute_cids

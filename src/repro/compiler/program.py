@@ -37,14 +37,9 @@ class Engine(enum.Enum):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
-    @functools.cached_property
-    def index(self) -> int:
-        """This engine's position in declaration order.
-
-        Kept on the member after the first read: queue maps key on it,
-        an int that hashes in C, where an enum member hashes in Python.
-        """
-        return list(Engine).index(self)
+    #: Members are singletons that compare by identity, so they hash by
+    #: identity too, in C (``Enum.__hash__`` hashes the name in Python).
+    __hash__ = object.__hash__
 
 
 class CommandKind(enum.Enum):
@@ -58,6 +53,9 @@ class CommandKind(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    #: Identity hash in C, as for :class:`Engine`.
+    __hash__ = object.__hash__
 
     @functools.cached_property
     def engine(self) -> Engine:
@@ -219,7 +217,8 @@ class Program:
     no validity check.  Programs compare by content and are not hashable.
 
     A program :meth:`placed_on` physical cores is a view of its source:
-    its columns share every list of the source's but ``core``.
+    its columns share every list of the source's but ``core``, and its
+    engine queues every list but ``keys``.
     """
 
     num_cores: int
@@ -316,24 +315,30 @@ class Program:
         and shared: the simulator's plan on every machine, the
         happens-before relation, the structure pass's cycle search, the
         longest-path sweeps, perflint and the trace cross-check all read
-        the same lists, and none writes to them.
+        the same lists, and none writes to them.  A placed view's queues
+        are its source's with each key's core renamed: an injective
+        renaming keeps the partition and its order, so every other list
+        is shared.
         """
         queues = self.__dict__.get("_engine_queues")
         if queues is not None:
             return queues
+        placement = self.placement()
+        if placement is not None:
+            source, cores = placement
+            queues = source.engine_queues()
+            queues = queues._replace(keys=[(cores[c], engine) for c, engine in queues.keys])
+            self.__dict__["_engine_queues"] = queues
+            return queues
         cols = self.columns()
-        # Keyed by the engine's index: an enum member hashes in Python.
-        qid_of_key: Dict[Tuple[int, int], int] = {}
-        keys: List[Tuple[int, Engine]] = []
+        qid_of_key: Dict[Tuple[int, Engine], int] = {}
         members: List[List[int]] = []
         qid_of: List[int] = []
         prev: List[int] = []
-        for pos, (core, engine) in enumerate(zip(cols.core, cols.engine)):
-            key = (core, engine.index)
+        for pos, key in enumerate(zip(cols.core, cols.engine)):
             qid = qid_of_key.get(key)
             if qid is None:
                 qid = qid_of_key[key] = len(members)
-                keys.append((core, engine))
                 members.append([pos])
                 prev.append(-1)
             else:
@@ -341,7 +346,7 @@ class Program:
                 prev.append(queue[-1])
                 queue.append(pos)
             qid_of.append(qid)
-        queues = EngineQueues(keys, members, qid_of, prev)
+        queues = EngineQueues(list(qid_of_key), members, qid_of, prev)
         self.__dict__["_engine_queues"] = queues
         return queues
 
@@ -421,11 +426,11 @@ class ProgramBuilder:
         self._cycles: List[float] = []
         self._layer: List[str] = []
         self._tag: List[str] = []
-        #: last command id per (core, engine index); -1 when none yet.
-        self._tails: Dict[Tuple[int, int], int] = {}
+        #: last command id per (core, engine); -1 when none yet.
+        self._tails: Dict[Tuple[int, Engine], int] = {}
 
     def tail(self, core: int, engine: Engine) -> Optional[int]:
-        cid = self._tails.get((core, engine.index), -1)
+        cid = self._tails.get((core, engine), -1)
         return None if cid < 0 else cid
 
     def frontier(self) -> List[int]:
@@ -466,7 +471,7 @@ class ProgramBuilder:
         self._cycles.append(float(cycles))
         self._layer.append(layer)
         self._tag.append(tag)
-        self._tails[core, engine.index] = cid
+        self._tails[core, engine] = cid
         return cid
 
     def barrier(self, cycles: float, layer: str = "", tag: str = "") -> List[int]:

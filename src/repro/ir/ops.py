@@ -206,20 +206,6 @@ class Operator(abc.ABC):
         return self.weight_elements
 
     @property
-    def is_channelwise(self) -> bool:
-        """True when output channel ``c`` depends only on input channel ``c``.
-
-        This is the property heuristic *h4* keys on: channel partitioning of
-        such ops needs no replicated data at all.
-        """
-        return False
-
-    @property
-    def preserves_spatial(self) -> bool:
-        """True when the op maps spatial positions one-to-one (no window)."""
-        return False
-
-    @property
     def supports_spatial_partition(self) -> bool:
         return True
 
@@ -259,14 +245,6 @@ class Input(Operator):
 
     def macs_for_output(self, out_region, input_shapes) -> int:
         return 0
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
-
-    @property
-    def is_channelwise(self) -> bool:
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -361,10 +339,6 @@ class DepthwiseConv2D(Operator):
     def weight_elements_for_output(self, out_region, output_shape) -> int:
         return self.window.taps * out_region.chans.length
 
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
 
 class PoolKind(enum.Enum):
     MAX = "max"
@@ -398,10 +372,6 @@ class Pool2D(Operator):
         # vector engine, which is what the balancer needs.
         return out_region.num_elements * self.window.taps
 
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
 
 @dataclasses.dataclass(frozen=True)
 class GlobalAvgPool(Operator):
@@ -422,10 +392,6 @@ class GlobalAvgPool(Operator):
     def macs_for_output(self, out_region, input_shapes) -> int:
         (ishape,) = input_shapes
         return out_region.chans.length * ishape.h * ishape.w
-
-    @property
-    def is_channelwise(self) -> bool:
-        return True
 
     @property
     def supports_spatial_partition(self) -> bool:
@@ -492,14 +458,6 @@ class Add(Operator):
     def macs_for_output(self, out_region, input_shapes) -> int:
         return out_region.num_elements
 
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
-
 
 @dataclasses.dataclass(frozen=True)
 class Mul(Operator):
@@ -532,14 +490,6 @@ class Mul(Operator):
 
     def macs_for_output(self, out_region, input_shapes) -> int:
         return out_region.num_elements
-
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -579,16 +529,6 @@ class Concat(Operator):
         # balancer from treating it as free.
         return out_region.num_elements
 
-    @property
-    def is_channelwise(self) -> bool:
-        # Output channel c depends on exactly one input channel, which is
-        # the property h4 cares about.
-        return True
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
-
 
 @dataclasses.dataclass(frozen=True)
 class Activation(Operator):
@@ -607,14 +547,6 @@ class Activation(Operator):
 
     def macs_for_output(self, out_region, input_shapes) -> int:
         return out_region.num_elements
-
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -657,10 +589,6 @@ class Upsample(Operator):
     def macs_for_output(self, out_region, input_shapes) -> int:
         per_elem = 1 if self.mode == "nearest" else 4
         return out_region.num_elements * per_elem
-
-    @property
-    def is_channelwise(self) -> bool:
-        return True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -751,14 +679,6 @@ class Crop(Operator):
     def macs_for_output(self, out_region, input_shapes) -> int:
         return out_region.num_elements
 
-    @property
-    def is_channelwise(self) -> bool:
-        return True
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
-
 
 @dataclasses.dataclass(frozen=True)
 class Softmax(Operator):
@@ -777,10 +697,6 @@ class Softmax(Operator):
 
     def macs_for_output(self, out_region, input_shapes) -> int:
         return 3 * out_region.num_elements
-
-    @property
-    def preserves_spatial(self) -> bool:
-        return True
 
     @property
     def supports_channel_partition(self) -> bool:

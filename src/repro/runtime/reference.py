@@ -9,6 +9,7 @@ indexing mistake changes the output.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -34,19 +35,26 @@ from repro.ir.ops import (
 )
 
 
+def _rng(*key: object) -> np.random.Generator:
+    """A generator seeded by a stable digest of ``key``.  Python salts
+    ``hash`` of a ``str`` per process, so a seed taken from it would
+    give other data in every run and a failing example could not be
+    replayed."""
+    return np.random.default_rng(zlib.crc32(repr(key).encode()))
+
+
 def synth_weights(layer: Layer, seed: int = 0) -> Optional[np.ndarray]:
     """Deterministic pseudo-random weights for a layer (None if weightless)."""
     shape = layer.op.weight_shape
     if not shape:
         return None
-    rng = np.random.default_rng(abs(hash((layer.name, seed))) % (2**32))
-    return rng.standard_normal(shape).astype(np.float64)
+    return _rng(layer.name, seed).standard_normal(shape).astype(np.float64)
 
 
 def synth_input(layer: Layer, seed: int = 0) -> np.ndarray:
     """Deterministic input tensor for an Input layer."""
-    rng = np.random.default_rng(abs(hash((layer.name, "in", seed))) % (2**32))
-    return rng.standard_normal(layer.output_shape.as_tuple()).astype(np.float64)
+    shape = layer.output_shape.as_tuple()
+    return _rng(layer.name, "in", seed).standard_normal(shape).astype(np.float64)
 
 
 def _apply_activation(x: np.ndarray, kind: Optional[str]) -> np.ndarray:

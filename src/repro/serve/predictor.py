@@ -143,14 +143,14 @@ class LatencyPredictor:
         """``model`` compiled for a core group and placed on those cores
         of the full machine: what a request on the group runs.
 
-        One placed program per (model, cores), shared by every wave --
-        and with it the simulator's plan cache.  It is a view of the
-        compiled program (:func:`~repro.sim.multitenant.place_program`),
-        checked through the compiled program's structure verdict, and
-        serving never builds its commands: its plan is the compiled
-        program's plan on the group (the one :meth:`isolated_run`
-        builds) with cores renamed, and its memo fingerprint derives
-        from the compiled program's.
+        One placed program per (model, cores), shared by every wave.  It
+        is a view of the compiled program
+        (:func:`~repro.sim.multitenant.place_program`), checked through
+        the compiled program's structure verdict, and serving never
+        builds its commands: it runs on the compiled program's plan on
+        the group (the one :meth:`isolated_run` builds, the same
+        object), and its memo fingerprint derives from the compiled
+        program's.
         """
         cores = self._resolve_cores(cores)
         if (model, cores) not in self._placed:

@@ -114,10 +114,11 @@ def place_program(program: Program, cores: Sequence[int], num_cores: int) -> Pro
     indices (``bool`` refused), at least one per core of ``program``.
 
     The placed program is a view of its source (:meth:`Program.placed_on`):
-    its commands are built only when something reads them.  Its
-    simulator plan is the source's plan with the core column renamed and
-    its memo fingerprint derives from the source's; neither program can
-    change, so both stay valid.
+    its commands are built only when something reads them.  It runs on
+    the source's simulator plan on the group machine -- the same object,
+    bracket and jitter tables included -- and its memo fingerprint
+    derives from the source's; neither program can change, so both stay
+    valid.
 
     An injective renaming keeps ids, dependencies, payloads and the
     engine-queue partition, so the placed program's structure verdict is

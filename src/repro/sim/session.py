@@ -55,7 +55,7 @@ import functools
 import heapq
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.program import Engine, Program
+from repro.compiler.program import Engine, EngineQueues, Program
 from repro.hw.config import NPUConfig
 from repro.sim import memo as memo_mod
 from repro.sim.bus import advance_eta, force_min, refill_eta
@@ -94,16 +94,17 @@ def _stalled_until(windows: List[Tuple[float, float]], t: float) -> float:
 
 class _Usage:
     """Span and per-core busy cycles of a finished injection's completed
-    commands, reduced on first request from its slot slices."""
+    commands, reduced on first request from its slot slices; ``queues``
+    are the injected program's, whose keys name physical cores."""
 
     def __init__(
         self,
-        plan: _SimPlan,
+        queues: EngineQueues,
         finished: Optional[List[int]],
         start: List[float],
         done: List[float],
     ) -> None:
-        self.plan = plan
+        self.queues = queues
         #: completed commands, ascending (``None``: all of them)
         self.finished = finished
         self.start = start
@@ -120,12 +121,11 @@ class _Usage:
     @functools.cached_property
     def busy(self) -> Dict[int, float]:
         start, done = self.start, self.done
-        core_of = self.plan.static_cols["core"]
         spans: Dict[int, List[Tuple[float, float]]] = {}
-        for cids in self.plan.qcids:
+        for (core, _), cids in zip(self.queues.keys, self.queues.members):
             # An abandoned command's completion time is below any start,
             # so the filter keeps completed commands only.
-            spans.setdefault(core_of[cids[0]], []).extend(
+            spans.setdefault(core, []).extend(
                 [(start[c], done[c]) for c in cids if done[c] > start[c]]
             )
         # Trace.busy_time's float order: sort, merge, sum left to right.
@@ -413,8 +413,9 @@ class SimSession:
         does not check that those cores are free -- overlapping
         injections on one core simply queue behind each other in their
         (core, engine) streams, so the *caller* owns core accounting.
-        Everything the session needs comes from the program's plan, so
-        a placed program's commands are never built here.
+        Everything the session needs comes from the program's plan --
+        a placed program's is its source's -- and the program's engine
+        queues, so a placed program's commands are never built here.
 
         ``cid_base`` offsets the command ids that seed jitter draws;
         only :func:`repro.sim.multitenant.inject_wave` sets it.
@@ -468,16 +469,12 @@ class SimSession:
                 self._fast_iid = iid
         self._active[iid] = inj
 
-        # Map plan queues onto session queues by (core, engine), read
-        # from the plan's static columns, and enqueue the commands'
-        # slots; queue scan order (plan order) matches the one-shot
-        # simulator's seeding of the check stack.
-        core_of = plan.static_cols["core"]
-        engine_of = plan.static_cols["engine"]
+        # Map plan queues onto session queues by the program's queue
+        # keys (physical core, engine), and enqueue the commands' slots;
+        # queue scan order (plan order) matches the one-shot simulator's
+        # seeding of the check stack.
         pqids = []
-        for cids in plan.qcids:
-            head = cids[0]
-            key = (core_of[head], engine_of[head])
+        for key, cids in zip(program.engine_queues().keys, plan.qcids):
             qid = self._qid_of_key.get(key)
             if qid is None:
                 qid = self._add_queue(*key)
@@ -587,7 +584,7 @@ class SimSession:
         base = inj.base
         done = self._done
         started = self._start
-        core_of = plan.static_cols["core"]
+        core_of = inj.program.columns().core
         consumers = plan.consumers
         successor = plan.queue_successors()
         bus_changed = False
@@ -677,11 +674,12 @@ class SimSession:
             self._spare.setdefault(n, []).append(base)
         start = self._start[base:end]
         free_at = self._free_at[base:end]
-        trace = Trace(lambda: _finished_columns(plan, finished, start, done, free_at))
+        program = inj.program
+        trace = Trace(lambda: _finished_columns(plan, program, finished, start, done, free_at))
         if inj.solo and self.check_bounds:
             from repro.verify.bounds import bounds_for
 
-            bounds_for(inj.program, self.npu).assert_contains(
+            bounds_for(program, self.npu).assert_contains(
                 now, context=f"session injection {inj.label!r}"
             )
         if inj.solo and self.memo is not None and inj.memo_key is not None:
@@ -691,7 +689,8 @@ class SimSession:
                 inj.memo_key,
                 SimResult(trace=trace, makespan_cycles=now, npu=self.npu),
             )
-        self._deliver(inj, now, trace, abandoned, _Usage(plan, finished, start, done))
+        usage = _Usage(program.engine_queues(), finished, start, done)
+        self._deliver(inj, now, trace, abandoned, usage)
 
     def _deliver(
         self,

@@ -17,20 +17,25 @@ epoch* by the kernels in :mod:`repro.sim.bus`.  A fault plan arms the
 same loop's fault hooks; a clean run skips them.
 
 This module holds what that loop is built from.  The seed-independent
-part of the precomputation (queues, dependency index, durations) is a
-:class:`_SimPlan`, built from the program's columns once per (program,
-machine) and cached on the program; per-seed jitter tables are cached
-on the plan, so sweeping repeated seeds -- the shape of every serving
-experiment -- pays only for the event loop.  Above all of that sits
-:mod:`repro.sim.memo`: repeated (program, machine, seed, fault plan)
-requests return the cached result without entering the loop at all.
+part of the precomputation (queues, reverse-dependency index,
+durations) is a :class:`_SimPlan`, built from the program's columns
+once per (compiled program, machine) and cached on the program; a
+placed program runs on its source's plan (:func:`_plan_for`).  Per-seed
+jitter tables are cached on the plan, so sweeping repeated seeds -- the
+shape of every serving experiment -- pays only for the event loop.
+Above all of that sits :mod:`repro.sim.memo`: repeated (program,
+machine, seed, fault plan) requests return the cached result without
+entering the loop at all.
 
 Trace assembly is *columnar and lazy*.  The loop records start,
 completion and engine-free times only; the readiness fields
 (``own_ready``, ``dep_ready``) are selections among completion times --
 outputs, never scheduling inputs -- derived by batched numpy reductions
-(``maximum.reduceat``) over the plan's flattened dependency index, and
-only when a consumer first reads the trace (:func:`_finished_columns`).
+(``maximum.reduceat``) over the plan's flattened dependency rows, and
+only when a consumer first reads the trace (:func:`_finished_columns`);
+the rows themselves are built on the first such read
+(:meth:`_SimPlan.readiness`), so a run whose trace nobody reads never
+builds them.
 
 Two retired generations of this scheduler -- the queue-scanning
 original and the object-based event-driven core -- are kept under
@@ -99,24 +104,26 @@ class _SimPlan:
     """Seed-independent scheduling state for one (program, machine) pair.
 
     Everything here is derived from the program's columns
-    (:meth:`~repro.compiler.program.Program.columns`) and the machine
-    description only: flattened engine queues, the reverse-dependency
-    index, outstanding-dependency counts, fixed durations and DMA link
-    caps, plus the flattened (CSR-style) dependency index the columnar
-    trace derivation reduces over.  The static trace fields
-    (``static_cols``) and the dependency lists (``deps_of``) are the
-    program's own columns, shared read-only, not copied.  Per-seed
-    jitter tables are layered on top by :meth:`delays_for` and cached,
-    since serving and sweep workloads revisit a handful of seeds.
+    (:meth:`~repro.compiler.program.Program.columns`, kept as
+    ``columns``, shared, not copied) and the machine description only:
+    the engine queues, the reverse-dependency index, outstanding-
+    dependency counts, fixed durations and DMA link caps -- what the
+    event loop and the static bracket read.  A placed program runs on
+    its source's plan (:func:`_plan_for`), so what a trace or a session
+    needs to know about the *injected* program -- queue keys, cores,
+    the static trace fields -- is read from that program, never from
+    the plan.  The readiness rows trace derivation reduces over are
+    built by :meth:`readiness` on the first trace read and kept.
+    Per-seed jitter tables are layered on top by :meth:`delays_for` and
+    cached, since serving and sweep workloads revisit a handful of seeds.
     """
 
     __slots__ = (
         "total",
-        "nq",
+        "columns",
         "qcids",
         "qid_of",
-        "deps_of",
-        "own_deps_of",
+        "prev_q",
         "consumers",
         "indeg0",
         "base_delay",
@@ -124,21 +131,14 @@ class _SimPlan:
         "dma_cap",
         "num_bytes_f",
         "jittered",
-        "prev_q",
-        "dep_flat",
-        "dep_starts",
-        "dep_cids",
-        "own_flat",
-        "own_starts",
-        "own_cids",
-        "static_cols",
         "bounds",
         "_delay_cache",
         "_next_q",
+        "_readiness",
     )
 
     def __init__(self, program: Program, npu: NPUConfig) -> None:
-        cols = program.columns()
+        self.columns = cols = program.columns()
         cores, kinds, deps_of = cols.core, cols.kind, cols.deps
         total = len(kinds)
         self.total = total
@@ -146,12 +146,9 @@ class _SimPlan:
         queues = program.engine_queues()
         self.qid_of = queues.qid_of
         self.qcids = queues.members
-        self.nq = len(queues.members)
         #: in-queue predecessor of each command (-1 for queue heads)
         self.prev_q = queues.prev
 
-        self.deps_of = deps_of
-        self.own_deps_of = own_deps_of = [()] * total
         self.consumers = consumers = [[] for _ in range(total)]
         self.indeg0 = list(map(len, deps_of))
         self.base_delay = base_delay = [0.0] * total
@@ -170,10 +167,8 @@ class _SimPlan:
         for cid, (core, kind, deps, num_bytes, macs, cycles) in enumerate(
             zip(cores, kinds, deps_of, cols.num_bytes, cols.macs, cols.cycles)
         ):
-            if deps:
-                own_deps_of[cid] = tuple(d for d in deps if cores[d] == core)
-                for dep in deps:
-                    consumers[dep].append(cid)
+            for dep in deps:
+                consumers[dep].append(cid)
             if kind is CommandKind.COMPUTE:
                 base_delay[cid] = compute_cycles(macs, core_config[core])
             elif kind is CommandKind.BARRIER:
@@ -190,59 +185,52 @@ class _SimPlan:
                     evkind[cid] = _JOIN_BUS
                 dma_cap[cid] = core_config[core].dma_bytes_per_cycle
                 num_bytes_f[cid] = float(num_bytes)
-        #: the static trace fields (trace.STATIC_FIELDS): the program's
-        #: own columns, shared, not copied
-        self.static_cols = {name: getattr(cols, name) for name in STATIC_FIELDS}
-
-        # Flattened dependency index (CSR layout, non-empty rows only):
-        # the post-run readiness derivation reduces completion times over
-        # these segments with ``np.maximum.reduceat`` instead of a
-        # per-command Python scan.
-        dep_flat: List[int] = []
-        dep_starts: List[int] = []
-        dep_cids: List[int] = []
-        own_flat: List[int] = []
-        own_starts: List[int] = []
-        own_cids: List[int] = []
-        for cid in range(total):
-            ds = deps_of[cid]
-            if ds:
-                dep_starts.append(len(dep_flat))
-                dep_cids.append(cid)
-                dep_flat.extend(ds)
-            own = own_deps_of[cid]
-            if own:
-                own_starts.append(len(own_flat))
-                own_cids.append(cid)
-                own_flat.extend(own)
-        self.dep_flat = np.array(dep_flat, dtype=np.intp)
-        self.dep_starts = np.array(dep_starts, dtype=np.intp)
-        self.dep_cids = np.array(dep_cids, dtype=np.intp)
-        self.own_flat = np.array(own_flat, dtype=np.intp)
-        self.own_starts = np.array(own_starts, dtype=np.intp)
-        self.own_cids = np.array(own_cids, dtype=np.intp)
         self._next_q: Optional[List[int]] = None
+        self._readiness: Optional[Tuple[np.ndarray, ...]] = None
         #: the static latency bracket, kept by
         #: :func:`repro.verify.bounds.bounds_for` on first use.
         self.bounds: Optional["BoundsReport"] = None
 
-    def placed(self, cores: Tuple[int, ...]) -> "_SimPlan":
-        """This plan with each command's core ``c`` renamed to ``cores[c]``.
+    def readiness(self) -> Tuple[np.ndarray, ...]:
+        """The flattened (CSR-style) dependency rows trace derivation
+        reduces over: ``(dep_flat, dep_starts, dep_cids, own_flat,
+        own_starts, own_cids)``.
 
-        Placement renames cores injectively, so only the static ``core``
-        column changes: every other list is shared with this plan, and
-        both plans treat it as read-only.  The bracket and the jitter
-        tables are cached per plan, so they start empty.
+        ``dep_*`` holds every command's dependencies and ``own_*`` its
+        same-core ones, non-empty rows only: ``*_flat`` concatenates the
+        rows, ``*_starts`` is where each begins and ``*_cids`` whose it
+        is.  :func:`_finished_columns` reduces completion times over them
+        with ``np.maximum.reduceat`` instead of a per-command scan.  Only
+        a trace read needs them, so they are built on the first one and
+        kept; an injective core renaming keeps every same-core relation,
+        so a placed program's trace reads its source's rows.
         """
-        plan = _SimPlan.__new__(_SimPlan)
-        for slot in _SHARED_SLOTS:
-            setattr(plan, slot, getattr(self, slot))
-        static = dict(self.static_cols)
-        static["core"] = [cores[c] for c in static["core"]]
-        plan.static_cols = static
-        plan.bounds = None
-        plan._delay_cache = {}
-        return plan
+        rows = self._readiness
+        if rows is None:
+            cols = self.columns
+            cores = cols.core
+            dep_flat: List[int] = []
+            dep_starts: List[int] = []
+            dep_cids: List[int] = []
+            own_flat: List[int] = []
+            own_starts: List[int] = []
+            own_cids: List[int] = []
+            for cid, (core, deps) in enumerate(zip(cores, cols.deps)):
+                if not deps:
+                    continue
+                dep_starts.append(len(dep_flat))
+                dep_cids.append(cid)
+                dep_flat.extend(deps)
+                own = [d for d in deps if cores[d] == core]
+                if own:
+                    own_starts.append(len(own_flat))
+                    own_cids.append(cid)
+                    own_flat.extend(own)
+            rows = self._readiness = tuple(
+                np.array(row, dtype=np.intp)
+                for row in (dep_flat, dep_starts, dep_cids, own_flat, own_starts, own_cids)
+            )
+        return rows
 
     def queue_successors(self) -> List[int]:
         """In-queue successor of each command (-1 for queue tails).
@@ -290,12 +278,6 @@ class _SimPlan:
         return delay
 
 
-#: plan slots a placed plan shares with its source's plan
-_SHARED_SLOTS = tuple(
-    slot for slot in _SimPlan.__slots__ if slot not in ("static_cols", "bounds", "_delay_cache")
-)
-
-
 def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     """Fetch or build the cached scheduling plan for (program, npu).
 
@@ -310,8 +292,10 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
     is where the pair is checked: the core count on every call, the
     program's well-formedness when its plan is built, through the
     verdict the program keeps (:meth:`Program.structure`; a built
-    program already has one).  A placed program's plan is derived from
-    its source's (:func:`_placed_plan`) without reading its commands.
+    program already has one).  There is one plan per compiled program
+    and machine: a placed program's plan *is* its source's plan on the
+    group machine (:func:`_placed_plan`), the same object, so the two
+    share the bracket and the jitter tables too.
     """
     if program.num_cores > npu.num_cores:
         raise ValueError(
@@ -332,17 +316,20 @@ def _plan_for(program: Program, npu: NPUConfig) -> _SimPlan:
 
 
 def _placed_plan(source: Program, cores: Tuple[int, ...], npu: NPUConfig) -> _SimPlan:
-    """The plan of ``source`` placed on ``cores`` of ``npu``.
+    """The plan ``source`` placed on ``cores`` of ``npu`` runs on: the
+    source's own plan on the group machine.
 
     Core ``i`` of the source runs as core ``cores[i]`` of ``npu``, so
     the source's plan on the *group machine* -- ``npu`` with cores
-    ``npu.cores[c] for c in cores`` -- prices every command exactly as
-    a plan of the placed program would.  Compile machines name their
-    group differently by caller (:func:`repro.sim.multitenant.sub_machine`),
-    so a plan the source already has on a machine equal to the group
-    machine in everything but its name is reused; otherwise the source's
-    plan on the group machine is built first.  Map entries past the
-    source's core count name no command and are left out.
+    ``npu.cores[c] for c in cores``, the bus and the clock kept --
+    prices every command exactly as a plan of the placed program would:
+    an injective core renaming keeps every dependency, queue and price.
+    Compile machines name their group differently by caller
+    (:func:`repro.sim.multitenant.sub_machine`), so a plan the source
+    already has on a machine equal to the group machine in everything
+    but its name is returned; otherwise the source's plan on the group
+    machine is built.  Map entries past the source's core count name no
+    command and are left out.
     """
     cores = cores[: source.num_cores]
     group = dataclasses.replace(npu, cores=tuple(npu.cores[c] for c in cores))
@@ -350,7 +337,7 @@ def _placed_plan(source: Program, cores: Tuple[int, ...], npu: NPUConfig) -> _Si
     machine = next(
         (m for m in plans if dataclasses.replace(m, name=npu.name) == group), group
     )
-    return _plan_for(source, machine).placed(cores)
+    return _plan_for(source, machine)
 
 
 def simulate(
@@ -446,6 +433,7 @@ def _one_shot(session: "SimSession", program: Program, seed: int) -> SimResult:
 
 def _finished_columns(
     plan: _SimPlan,
+    program: Program,
     finished: Optional[Sequence[int]],
     start: List[float],
     done_at: List[float],
@@ -453,34 +441,39 @@ def _finished_columns(
 ) -> TraceColumns:
     """Columnar trace payload of a session injection's finished commands.
 
-    Sessions record each command's start and the time its engine last
-    freed up (``free_at``) as it starts -- both depend on other
-    injections and on faults.  The readiness fields are derived here:
-    ``dep_ready`` is the latest dependency completion (0 without deps);
-    ``own_ready`` folds the same-core dependencies into ``free_at``.  Both
-    are *selections* among completion times, never arithmetic, so the
-    segmented ``maximum.reduceat`` reductions produce the exact floats
-    of a per-command scan.  ``finished`` lists the completed commands in
+    ``program`` is the injected program, run on ``plan``: the static
+    trace fields are its columns (a placed program's ``core`` column is
+    built here, on its first trace read).  Sessions record each
+    command's start and the time its engine last freed up (``free_at``)
+    as it starts -- both depend on other injections and on faults.  The
+    readiness fields are derived here, over the plan's
+    :meth:`~_SimPlan.readiness` rows: ``dep_ready`` is the latest
+    dependency completion (0 without deps); ``own_ready`` folds the
+    same-core dependencies into ``free_at``.  Both are *selections*
+    among completion times, never arithmetic, so the segmented
+    ``maximum.reduceat`` reductions produce the exact floats of a
+    per-command scan.  ``finished`` lists the completed commands in
     ascending order (``None``: all of them); the stable sort on start
     then equals ordering by (start, cid), the event order every core
     emits.
     """
+    dep_flat, dep_starts, dep_cids, own_flat, own_starts, own_cids = plan.readiness()
     start_a = np.array(start)
     done = np.array(done_at)
     r_own = np.array(free_at)
     r_dep = np.zeros(plan.total)
-    if len(plan.dep_flat):
-        r_dep[plan.dep_cids] = np.maximum.reduceat(done[plan.dep_flat], plan.dep_starts)
-    if len(plan.own_flat):
-        red = np.maximum.reduceat(done[plan.own_flat], plan.own_starts)
-        cids = plan.own_cids
-        np.maximum(r_own[cids], red, out=red)
-        r_own[cids] = red
+    if len(dep_flat):
+        r_dep[dep_cids] = np.maximum.reduceat(done[dep_flat], dep_starts)
+    if len(own_flat):
+        red = np.maximum.reduceat(done[own_flat], own_starts)
+        np.maximum(r_own[own_cids], red, out=red)
+        r_own[own_cids] = red
     if finished is None:
         order = np.argsort(start_a, kind="stable")
     else:
         fin = np.array(finished, dtype=np.intp)
         order = fin[np.argsort(start_a[fin], kind="stable")]
+    cols = program.columns()
     # .tolist() yields plain Python floats: downstream consumers (stats
     # sums, json dumps) must never see numpy scalars.
     return TraceColumns(
@@ -489,5 +482,5 @@ def _finished_columns(
         end=done[order].tolist(),
         own_ready=r_own[order].tolist(),
         dep_ready=r_dep[order].tolist(),
-        static=plan.static_cols,
+        static={name: getattr(cols, name) for name in STATIC_FIELDS},
     )

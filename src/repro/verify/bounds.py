@@ -200,8 +200,9 @@ def _durations(
         hi[cid] += bound
     bw = npu.bus_bytes_per_cycle
     total_bytes = 0.0
+    sizes = plan.columns.num_bytes
     for cid in bus:
-        num_bytes = plan.static_cols["num_bytes"][cid]
+        num_bytes = sizes[cid]
         cap = plan.dma_cap[cid]
         full = min(cap, bw)
         shared = min(cap, bw / n_dma_queues)
@@ -260,7 +261,7 @@ def compute_bounds(program: Program, npu: NPUConfig) -> BoundsReport:
     lower = max(critical, engine_serial, bus_floor)
 
     path = walk_bindings(lb_bindings, last)
-    kinds = plan.static_cols["kind"]
+    kinds = plan.columns.kind
     breakdown: Dict[str, float] = {}
     for cid, _bound_by in path:
         cat = category_of(kinds[cid])
@@ -299,7 +300,8 @@ def bounds_for(program: Program, npu: NPUConfig) -> BoundsReport:
     The report lives in the plan's ``bounds`` slot, so it is derived
     once per plan -- repeated oracle checks and predictor pre-screens
     pay for it once per machine -- and rebuilt exactly when the plan
-    is.
+    is.  A placed program runs on its source's plan, so its bracket is
+    its source's on the group machine.
     """
     plan = _plan_for(program, npu)
     report = plan.bounds

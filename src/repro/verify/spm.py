@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.compiler.program import CommandKind
 from repro.cost.memory import aligned_region_bytes
@@ -109,28 +109,32 @@ def audit_spm(
                 return int(digits)
         return 0
 
+    # Only the sub-layers' loads, stores and halo receives occupy SPM:
+    # walk their (layer, core, kind) groups, not every command.
     cols = program.columns()
-    for layer, core, kind, num_bytes, tag in zip(
-        cols.layer, cols.core, cols.kind, cols.num_bytes, cols.tag
-    ):
+    sizes, tags = cols.num_bytes, cols.tag
+    count: Optional[Dict[Tuple[str, int, int], int]]
+    for (layer, core, kind), members in program.groups().items():
         key2 = (layer, core)
-        key = (layer, core, band_of(tag))
-        if kind in (
-            CommandKind.LOAD_WEIGHT,
-            CommandKind.LOAD_INPUT,
-            CommandKind.STORE_OUTPUT,
-        ):
-            bands_of.setdefault(key2, set()).add(key[2])
+        if kind is CommandKind.HALO_RECV:
+            recv[key2] = recv.get(key2, 0) + sum(sizes[cid] for cid in members)
+            continue
         if kind is CommandKind.LOAD_WEIGHT:
-            weights[key] = max(weights.get(key, 0), num_bytes)
+            peak, count = weights, None
         elif kind is CommandKind.LOAD_INPUT:
-            max_load[key] = max(max_load.get(key, 0), num_bytes)
-            n_load[key] = n_load.get(key, 0) + 1
+            peak, count = max_load, n_load
         elif kind is CommandKind.STORE_OUTPUT:
-            max_store[key] = max(max_store.get(key, 0), num_bytes)
-            n_store[key] = n_store.get(key, 0) + 1
-        elif kind is CommandKind.HALO_RECV:
-            recv[key2] = recv.get(key2, 0) + num_bytes
+            peak, count = max_store, n_store
+        else:
+            continue
+        bands = bands_of.setdefault(key2, set())
+        for cid in members:
+            band = band_of(tags[cid])
+            bands.add(band)
+            key = (layer, core, band)
+            peak[key] = max(peak.get(key, 0), sizes[cid])
+            if count is not None:
+                count[key] = count.get(key, 0) + 1
 
     usages: List[SpmUsage] = []
     violations: List[SpmViolation] = []

@@ -135,9 +135,6 @@ class TestConv2D:
         # half the output channels need half the filters
         assert op.weight_elements_for_output(out, TensorShape(10, 10, 8)) == 144
 
-    def test_not_channelwise(self):
-        assert not self.make().is_channelwise
-
 
 class TestDepthwiseConv2D:
     def test_output_shape(self):
@@ -150,10 +147,6 @@ class TestDepthwiseConv2D:
         out = Region(Interval(0, 9), Interval(0, 9), Interval(2, 4))
         needed = op.input_region(out, 0, ishape, TensorShape(9, 9, 6))
         assert needed.chans == Interval(2, 4)
-
-    def test_is_channelwise(self):
-        op = DepthwiseConv2D(channels=6, window=Window2D.square(3))
-        assert op.is_channelwise
 
     def test_macs_independent_of_channels_count(self):
         op = DepthwiseConv2D(channels=6, window=Window2D.square(3))
@@ -168,7 +161,6 @@ class TestPool2D:
 
     def test_channelwise(self):
         op = Pool2D(PoolKind.AVG, Window2D.square(3))
-        assert op.is_channelwise
         assert op.weight_shape == ()
 
 

@@ -1,5 +1,10 @@
 """Reference operator semantics against brute-force / hand computations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -275,6 +280,39 @@ class TestRunReference:
         w1 = synth_weights(g.layer("c2"))
         w2 = synth_weights(g.layer("c3"))
         assert not np.array_equal(w1, w2)
+
+    def test_same_data_in_every_process(self):
+        """Python salts ``str`` hashes per process: the data must not
+        depend on them, or a failing example could not be replayed."""
+        script = (
+            "import hashlib\n"
+            "from repro.runtime import run_reference\n"
+            "from tests.conftest import make_chain_graph\n"
+            "values = run_reference(make_chain_graph())\n"
+            "digest = hashlib.sha256()\n"
+            "for name in sorted(values):\n"
+            "    digest.update(name.encode() + values[name].tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        root = Path(__file__).resolve().parents[2]
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=root,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1, digests
 
     def test_synth_input_shape(self):
         from tests.conftest import make_chain_graph

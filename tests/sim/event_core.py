@@ -26,6 +26,22 @@ from tests.sim.fluid_bus import FluidBus
 from tests.sim.trace_rows import oracle_trace
 
 
+def dependencies(
+    program: Program,
+) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
+    """Each command's dependencies and its same-core ones, derived from
+    the program's columns here rather than read from the simulator's
+    plan, so the readiness fields these cores compute check the plan's
+    readiness rows independently."""
+    cols = program.columns()
+    core_of = cols.core
+    own = [
+        tuple(d for d in deps if core_of[d] == core)
+        for core, deps in zip(core_of, cols.deps)
+    ]
+    return cols.deps, own
+
+
 def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> SimResult:
     """Clean (fault-free) simulation on the retained object-based core.
 
@@ -41,10 +57,9 @@ def simulate_event_driven(program: Program, npu: NPUConfig, seed: int = 0) -> Si
     total = plan.total
 
     qcids = plan.qcids
-    nq = plan.nq
+    nq = len(qcids)
     qid_of = plan.qid_of
-    deps_of = plan.deps_of
-    own_deps_of = plan.own_deps_of
+    deps_of, own_deps_of = dependencies(program)
     consumers = plan.consumers
     indeg = list(plan.indeg0)
     evkind = plan.evkind

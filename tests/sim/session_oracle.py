@@ -19,13 +19,14 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.compiler.program import CommandKind, Engine, Program
+from repro.compiler.program import Command, CommandKind, Engine, Program
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.hw.config import NPUConfig
 from repro.sim.session import InjectionOutcome
 from repro.sim.simulator import _EPS, _END, _JOIN_BUS, SimResult, _plan_for, _SimPlan
-from repro.sim.trace import Trace, TraceColumns
+from repro.sim.trace import STATIC_FIELDS, Trace, TraceColumns
 
+from tests.sim.event_core import dependencies
 from tests.sim.fluid_bus import FluidBus
 
 #: heap event kinds beyond the plan's command kinds (_END, _JOIN_BUS)
@@ -37,17 +38,18 @@ Gid = Tuple[int, int]
 
 
 def _finished_columns(
-    plan: _SimPlan,
+    commands: Sequence[Command],
     finished_cids: List[int],
     r_start: List[float],
     done_at: List[float],
     r_own: List[float],
     r_dep: List[float],
 ) -> TraceColumns:
-    """Columnar trace payload for a finished subset of a plan's commands.
+    """Columnar trace payload for a finished subset of ``commands``.
 
     ``finished_cids`` must be ascending: the stable sort on start then
     equals ordering by (start, cid), the event order every core emits.
+    The static fields come from the commands, not from the plan.
     """
     order = sorted(finished_cids, key=r_start.__getitem__)
     return TraceColumns(
@@ -56,7 +58,7 @@ def _finished_columns(
         end=[done_at[c] for c in order],
         own_ready=[r_own[c] for c in order],
         dep_ready=[r_dep[c] for c in order],
-        static=plan.static_cols,
+        static={name: [getattr(c, name) for c in commands] for name in STATIC_FIELDS},
     )
 
 
@@ -100,7 +102,8 @@ class _Active:
     """Per-injection scheduling state (the mutable half of a _SimPlan)."""
 
     __slots__ = (
-        "iid", "label", "meta", "program", "plan", "commands", "delay",
+        "iid", "label", "meta", "program", "plan", "commands", "deps_of",
+        "own_deps_of", "delay",
         "indeg", "done_at", "r_start", "r_own", "r_dep", "finished",
         "doomed", "qpos", "pqids", "completed", "num_doomed", "total",
         "origin_us", "injected_at",
@@ -123,6 +126,7 @@ class _Active:
         self.program = program
         self.plan = plan
         self.commands = program.commands
+        self.deps_of, self.own_deps_of = dependencies(program)
         total = plan.total
         self.total = total
         self.indeg = list(plan.indeg0)
@@ -429,7 +433,7 @@ class OracleSession:
         inj = self._active.pop(iid)
         trace = Trace(
             columns=_finished_columns(
-                inj.plan,
+                inj.commands,
                 [cid for cid in range(inj.total) if inj.finished[cid]],
                 inj.r_start,
                 inj.done_at,
@@ -496,12 +500,12 @@ class OracleSession:
                     continue
             done_at = inj.done_at
             dep_ready = 0.0
-            for d in inj.plan.deps_of[cid]:
+            for d in inj.deps_of[cid]:
                 t = done_at[d]
                 if t > dep_ready:
                     dep_ready = t
             own_ready = q.free_at
-            for d in inj.plan.own_deps_of[cid]:
+            for d in inj.own_deps_of[cid]:
                 t = done_at[d]
                 if t > own_ready:
                     own_ready = t
@@ -630,10 +634,9 @@ def simulate_faulted_oracle(
     total = splan.total
 
     qcids = splan.qcids
-    nq = splan.nq
+    nq = len(qcids)
     qid_of = splan.qid_of
-    deps_of = splan.deps_of
-    own_deps_of = splan.own_deps_of
+    deps_of, own_deps_of = dependencies(program)
     consumers = splan.consumers
     indeg = list(splan.indeg0)
     evkind = splan.evkind
@@ -896,7 +899,7 @@ def simulate_faulted_oracle(
 
     trace = Trace(
         columns=_finished_columns(
-            splan,
+            commands,
             [cid for cid in range(total) if finished[cid]],
             r_start,
             done_at,

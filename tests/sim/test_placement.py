@@ -1,5 +1,5 @@
 """place_program: core-map checks, and what a placed program shares
-with its source (its plan's lists and its memo fingerprint)."""
+with its source (its plan and its memo fingerprint)."""
 
 from __future__ import annotations
 
@@ -50,15 +50,24 @@ class TestCoreMap:
 
 class TestDerivedPlan:
     def test_shares_the_source_plan(self, npu):
-        """The source's plan on its compile machine is reused: that
-        machine equals the group machine in everything but its name."""
+        """The placed program runs on the source's plan on its compile
+        machine: that machine equals the group machine in everything but
+        its name."""
         source = compiled(npu, (2, 0))
         src_plan = _plan_for(source, sub_machine(npu, (2, 0), "t"))
-        plan = _plan_for(place_program(source, (2, 0), npu.num_cores), npu)
-        assert plan.consumers is src_plan.consumers
-        assert plan.dep_flat is src_plan.dep_flat
-        assert plan.static_cols["layer"] is src_plan.static_cols["layer"]
-        assert plan.static_cols["core"] == [(2, 0)[c] for c in src_plan.static_cols["core"]]
+        placed = place_program(source, (2, 0), npu.num_cores)
+        assert _plan_for(placed, npu) is src_plan
+        assert src_plan.columns is source.columns()
+
+    def test_queues_are_the_sources_renamed(self, npu):
+        """A placed view's engine queues are the ones its own commands
+        give, sharing every list of the source's but the keys."""
+        source = compiled(npu, (2, 0))
+        placed = place_program(source, (2, 0), npu.num_cores)
+        queues = placed.engine_queues()
+        rebuilt = Program(num_cores=placed.num_cores, commands=list(placed.commands))
+        assert queues == rebuilt.engine_queues()
+        assert queues.members is source.engine_queues().members
 
 
 class TestFingerprint:
